@@ -97,10 +97,23 @@ def vp_int(n: int, p: int) -> int:
 def vp(x, p: int):
     """p-adic valuation of a rational; INF for zero, negative values allowed."""
     require_prime(p)
-    x = Fraction(x)
-    if x == 0:
+    return _vp(Fraction(x), p)
+
+
+def _vp(x, p: int):
+    """`vp` of an int or Fraction without the primality check.
+
+    For inner loops whose public entry has already called `require_prime`.
+    """
+    if not x:
         return INF
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
+
+
+def _residue(x, modulus: int) -> int:
+    """Image of an int or Fraction, with denominator prime to the modulus, in
+    Z/modulus."""
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -160,11 +173,9 @@ def padic_residue(x, p: int, precision: int) -> PAdicResidue:
     if precision < 1:
         raise DomainError("precision must be >= 1")
     x = Fraction(x)
-    if x != 0 and vp(x, p) < 0:
+    if _vp(x, p) < 0:
         raise DomainError(f"{x} has negative valuation at p={p}")
-    mod = p ** precision
-    inv_den = pow(x.denominator, -1, mod)
-    return PAdicResidue(p, (x.numerator * inv_den) % mod, precision)
+    return PAdicResidue(p, _residue(x, p ** precision), precision)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -173,10 +184,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputParseError(f"bad rational {text!r}: {exc}") from None
-
-
-def format_rational(q: Fraction) -> str:
-    return str(Fraction(q))
 
 
 def frac_sqrt(q: Fraction):

@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import DomainError, ext_gcd, prime_factors, vp, vp_int
+from .arith import DomainError, _vp, ext_gcd, prime_factors
 from .poly import (
     Polynomial,
-    _binomial_digit_bound,
     bezout_gcd_many,
     is_int_valued,
+    residue_period_exp,
 )
 
 # -- integer matrices ---------------------------------------------------------
@@ -320,17 +320,6 @@ class ContentVerdict:
         }
 
 
-def _residue_period_exp(entries, p: int) -> int:
-    """Exponent N with each entry's values mod p constant on classes mod p^N."""
-    best = 1
-    for e in entries:
-        m = e.denominator_lcm()
-        n_coeff = 1 + (vp_int(m, p) if m % p == 0 else 0)
-        n_digits = _binomial_digit_bound(e.degree, p)
-        best = max(best, min(n_coeff, n_digits) if e.degree > 0 else 1)
-    return best
-
-
 def unit_content_decide(entries) -> ContentVerdict:
     """Decide whether integer-valued polynomials generate the unit ideal.
 
@@ -365,12 +354,13 @@ def unit_content_decide(entries) -> ContentVerdict:
 
     coverage = {}
     for p in prime_factors(c):
-        exp = _residue_period_exp(entries, p)
+        # every entry's values mod p are constant on the classes mod p^exp
+        exp = max(1, *(residue_period_exp(e, p) for e in entries))
         table = {}
         for alpha in range(p ** exp):
             witness_idx = None
             for i, e in enumerate(entries):
-                if vp(e(alpha), p) == 0:
+                if _vp(e(alpha), p) == 0:
                     witness_idx = i
                     break
             if witness_idx is None:
@@ -609,7 +599,11 @@ def trace_combination_search(M, max_deg: int = 2, max_height: int = 10):
             if kk == 0:
                 continue
             zk = sum(a * b for a, b in zip(z, kvec))
-            base = round(zk / kk)
+            # zk / kk rounded half to even, exactly: a float quotient
+            # overflows above ~1e308 and is inexact above 2^53
+            base, rem = divmod(zk, kk)
+            if 2 * rem > kk or (2 * rem == kk and base % 2):
+                base += 1
             best = max(abs(v) for v in z)
             best_m = 0
             for m in range(base - 3, base + 4):

@@ -14,16 +14,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .arith import (
     DomainError,
     InputParseError,
+    _residue,
+    _vp,
     frac_sqrt,
-    padic_residue,
     prime_factors,
     require_prime,
-    vp,
     vp_int,
 )
 
@@ -67,10 +67,6 @@ class Polynomial:
     @classmethod
     def constant(cls, value) -> "Polynomial":
         return cls((Fraction(value),))
-
-    @classmethod
-    def monomial(cls, k: int, coeff=1) -> "Polynomial":
-        return cls((0,) * k + (Fraction(coeff),))
 
     # -- basic queries -----------------------------------------------------
 
@@ -249,16 +245,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def shift(self, a) -> "Polynomial":
-        """The polynomial f(X + a)."""
-        result = Polynomial.zero()
-        xa = Polynomial((Fraction(a), Fraction(1)))
-        power = Polynomial.one()
-        for c in self._coeffs:
-            result = result + power * c
-            power = power * xa
-        return result
-
     @staticmethod
     def _as_poly(other):
         if isinstance(other, Polynomial):
@@ -403,7 +389,10 @@ def parse_polynomial(text: str) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise InputParseError("empty polynomial text")
-    return _Parser(tokens).parse()
+    try:
+        return _Parser(tokens).parse()
+    except RecursionError:
+        raise InputParseError("polynomial nested too deeply") from None
 
 
 # -- binomial basis ----------------------------------------------------------
@@ -476,43 +465,41 @@ def is_int_valued(f: Polynomial):
     return flag, exponents
 
 
-def _binomial_digit_bound(degree: int, p: int) -> int:
-    """Smallest L with p^L > degree; C(x, k) mod p only sees x mod p^L for k <= degree."""
-    if degree <= 0:
-        return 0
-    L = 0
+def residue_period_exp(f: Polynomial, p: int) -> int:
+    """Exponent N such that f(x) mod p depends only on x mod p^N.
+
+    N = min(1 + v_p(m), L) with m the common denominator of f and L the
+    number of base-p digits of deg f (0 for a constant).  Writing f = F/m
+    with F integral, f(x + p^N t) - f(x) has valuation >= N - v_p(m), which
+    gives the first bound for every f.  The second holds when every binomial
+    coefficient of f is p-integral: C(x, k) mod p only reads the lowest L
+    base-p digits of x for k <= deg f (Lucas).
+    """
+    digits = 0
     q = 1
-    while q <= degree:
+    while q <= f.degree:
         q *= p
-        L += 1
-    return L
+        digits += 1
+    return min(1 + vp_int(f.denominator_lcm(), p), digits)
 
 
 def p_integral_binomial(f: Polynomial, p: int) -> bool:
     """All binomial coefficients of f have v_p >= 0."""
-    return all(vp(c, p) >= 0 for c in to_binomial_basis(f).coeffs)
+    require_prime(p)
+    return all(_vp(c, p) >= 0 for c in to_binomial_basis(f).coeffs)
 
 
 def residue_image(f: Polynomial, p: int) -> frozenset:
     """The set { f(x) mod p : x in Z }, computed over one exact period.
 
-    Requires every binomial coefficient of f to be p-integral.  One full
-    period of f mod p is p^N where N may be taken as 1 + v_p(m) (m the
-    common denominator) or as the number of base-p digits of deg f
-    (binomials C(X,k) mod p only read that many digits); the smaller bound
-    is used.
+    Requires every binomial coefficient of f to be p-integral; the period
+    is p^residue_period_exp(f, p).
     """
-    require_prime(p)
     if not p_integral_binomial(f, p):
         raise DomainError(f"{f} is not p-integrally valued at p={p}")
-    m = f.denominator_lcm()
-    n_coeff = 1 + (vp_int(m, p) if m % p == 0 else 0)
-    n_digits = _binomial_digit_bound(f.degree, p)
-    period = p ** min(n_coeff, n_digits)
-    out = set()
-    for x in range(period):
-        out.add(padic_residue(f(x), p, 1).value)
-    return frozenset(out)
+    return frozenset(
+        _residue(f(x), p) for x in range(p ** residue_period_exp(f, p))
+    )
 
 
 # -- gcd and square roots in Q[X] --------------------------------------------
@@ -585,13 +572,3 @@ def poly_sqrt(h: Polynomial):
     if candidate * candidate == h:
         return candidate
     return None
-
-
-def integer_content(f: Polynomial) -> Fraction:
-    """gcd of numerators over lcm of denominators (0 for the zero polynomial)."""
-    if f.is_zero:
-        return Fraction(0)
-    num = 0
-    for c in f.coeffs:
-        num = gcd(num, abs(c.numerator))
-    return Fraction(num, f.denominator_lcm())

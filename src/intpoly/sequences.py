@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import INF, DomainError, require_prime, vp
+from .arith import INF, DomainError, _vp, require_prime
 from .poly import Polynomial
 
 
@@ -46,7 +46,7 @@ class SeqWindow:
         if len(set(pts)) != len(pts):
             raise DomainError("window points must be pairwise distinct")
         for x in pts:
-            if vp(x, self.p) < 0:
+            if _vp(x, self.p) < 0:
                 raise DomainError(f"window point {x} is not p-integral at p={self.p}")
 
     def __len__(self):
@@ -55,7 +55,7 @@ class SeqWindow:
     def gap_valuations(self) -> list:
         """v(x_{i+1} - x_i) for consecutive points (all finite by distinctness)."""
         pts = self.points
-        return [vp(pts[i + 1] - pts[i], self.p) for i in range(len(pts) - 1)]
+        return [_vp(pts[i + 1] - pts[i], self.p) for i in range(len(pts) - 1)]
 
 
 def _strictly_increasing(vals) -> bool:
@@ -67,14 +67,14 @@ def _strictly_decreasing(vals) -> bool:
 
 
 def _classify_points(pts, p: int) -> WindowClass:
-    gaps = [vp(pts[i + 1] - pts[i], p) for i in range(len(pts) - 1)]
+    gaps = [_vp(pts[i + 1] - pts[i], p) for i in range(len(pts) - 1)]
     if _strictly_increasing(gaps):
         return WindowClass.PSEUDO_CONVERGENT
     if _strictly_decreasing(gaps):
         return WindowClass.PSEUDO_DIVERGENT
     last = len(pts) - 1
     constrained = {
-        vp(pts[j] - pts[i], p)
+        _vp(pts[j] - pts[i], p)
         for i, j in combinations(range(len(pts)), 2)
         if (i, j) != (0, last)
     }
@@ -109,7 +109,7 @@ def is_pseudo_limit(x, w: SeqWindow) -> bool:
     x = Fraction(x)
     if x in w.points:
         return False
-    vals = [vp(x - a, w.p) for a in w.points]
+    vals = [_vp(x - a, w.p) for a in w.points]
     return _strictly_increasing(vals)
 
 
@@ -142,6 +142,6 @@ def image_window_classify(f: Polynomial, w: SeqWindow):
         if len(set(tail)) != len(tail):
             continue
         if _classify_points(tail, w.p) is WindowClass.PSEUDO_CONVERGENT:
-            vals = [vp(y, w.p) for y in tail]
+            vals = [_vp(y, w.p) for y in tail]
             return start, WindowClass.PSEUDO_CONVERGENT, _observed_dichotomy(vals)
     return n, WindowClass.NONE, ImageDichotomy.UNDETERMINED

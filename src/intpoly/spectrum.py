@@ -18,12 +18,19 @@ from .arith import (
     DomainError,
     InputParseError,
     PAdicResidue,
+    _residue,
+    _vp,
     padic_residue,
     require_prime,
-    vp,
     vp_int,
 )
-from .poly import Polynomial, parse_polynomial, residue_image
+from .poly import (
+    Polynomial,
+    p_integral_binomial,
+    parse_polynomial,
+    residue_image,
+    residue_period_exp,
+)
 from .sequences import SeqWindow, WindowClass, classify_window
 from .vorder import ALL_INTEGERS, MembershipTarget, SubsetDescriptor, int_membership
 
@@ -91,7 +98,7 @@ class MaxTrivial:
     def __post_init__(self):
         require_prime(self.p)
         object.__setattr__(self, "a", Fraction(self.a))
-        if vp(self.a, self.p) < 0:
+        if _vp(self.a, self.p) < 0:
             raise DomainError(f"point {self.a} is not p-integral at p={self.p}")
 
     def __str__(self):
@@ -204,9 +211,25 @@ def _require_in_ring(f: Polynomial, E: SubsetDescriptor, p: int) -> None:
         )
 
 
-def _completion_threshold(f: Polynomial, p: int) -> int:
-    m = f.denominator_lcm()
-    return 1 + (vp_int(m, p) if m % p == 0 else 0)
+def _completion_threshold(f: Polynomial, E: SubsetDescriptor, p: int) -> int:
+    """Precision from which x mod p^N fixes f(x) mod p.
+
+    Over all of Z, ring membership makes f p-integral there, which
+    `residue_period_exp` needs.  Over a finite set f may not be, and only
+    the denominator bound 1 + v_p(m) holds.
+    """
+    if E.is_finite and not p_integral_binomial(f, p):
+        return 1 + vp_int(f.denominator_lcm(), p)
+    return residue_period_exp(f, p)
+
+
+def _window_tail(ideal: MaxSequence, E: SubsetDescriptor) -> tuple:
+    """The later half of the window, on which f decides membership."""
+    pts = ideal.window.points
+    for x in pts:
+        if not E.contains(x):
+            raise DomainError(f"window point {x} does not belong to {E}")
+    return pts[len(pts) - ceil(len(pts) / 2):]
 
 
 def ideal_membership(
@@ -222,21 +245,15 @@ def ideal_membership(
     if isinstance(ideal, MaxTrivial):
         if not E.contains(ideal.a):
             raise DomainError(f"point {ideal.a} does not belong to {E}")
-        return YES if vp(f(ideal.a), p) >= 1 else NO
+        return YES if _vp(f(ideal.a), p) >= 1 else NO
 
     if isinstance(ideal, MaxCompletion):
-        needed = _completion_threshold(f, p)
-        if ideal.x.precision < needed:
+        if ideal.x.precision < _completion_threshold(f, E, p):
             return unknown(INSUFFICIENT_PRECISION)
-        return YES if vp(f(ideal.x.value), p) >= 1 else NO
+        return YES if _vp(f(ideal.x.value), p) >= 1 else NO
 
     if isinstance(ideal, MaxSequence):
-        pts = ideal.window.points
-        for x in pts:
-            if not E.contains(x):
-                raise DomainError(f"window point {x} does not belong to {E}")
-        half = pts[len(pts) - ceil(len(pts) / 2):]
-        vals = [vp(f(x), p) for x in half]
+        vals = [_vp(f(x), p) for x in _window_tail(ideal, E)]
         if all(v >= 1 for v in vals):
             return YES
         if all(v == 0 for v in vals):
@@ -269,16 +286,14 @@ def residue_representative(
         return padic_residue(f(ideal.a), p, 1).value
 
     if isinstance(ideal, MaxCompletion):
-        if ideal.x.precision < _completion_threshold(f, p):
+        if ideal.x.precision < _completion_threshold(f, E, p):
             return None
         return padic_residue(f(ideal.x.value), p, 1).value
 
     if isinstance(ideal, MaxSequence):
-        for s in range(p):
-            verdict = ideal_membership(f - s, ideal, E)
-            if verdict.is_yes:
-                return s
-        return None
+        # f - s is in the ideal iff f(x) = s mod p on the whole tail
+        residues = {_residue(f(x), p) for x in _window_tail(ideal, E)}
+        return residues.pop() if len(residues) == 1 else None
 
     raise DomainError(f"unsupported ideal spec {ideal!r}")
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
+from math import lcm
 
-from .arith import INF, DomainError, require_prime, vp
+from .arith import DomainError, _vp, require_prime
 from .poly import Polynomial, p_integral_binomial, residue_image
 
 
@@ -37,9 +38,10 @@ class SubsetDescriptor:
         return self.points is not None
 
     def require_p_integral(self, p: int) -> None:
+        require_prime(p)
         if self.is_finite:
             for x in self.points:
-                if vp(x, p) < 0:
+                if _vp(x, p) < 0:
                     raise DomainError(f"point {x} is not p-integral at p={p}")
 
     def contains(self, x: Fraction) -> bool:
@@ -89,16 +91,6 @@ def factorial_valuation(k: int, p: int) -> int:
     return total
 
 
-def _step_valuation(x: Fraction, chosen, p: int):
-    total = 0
-    for a in chosen:
-        v = vp(x - a, p)
-        if v is INF:
-            return INF
-        total += v
-    return total
-
-
 def v_ordering(E: SubsetDescriptor, n: int, p: int, tie_break: str = "min") -> VOrdering:
     """Greedy construction of an ordering of length n+1 with its w values.
 
@@ -106,6 +98,10 @@ def v_ordering(E: SubsetDescriptor, n: int, p: int, tie_break: str = "min") -> V
     product against the points already chosen; ties go to the smallest point
     in (numerator, denominator) lexicographic order (or the largest, with
     tie_break="max", which must produce the same w list).
+
+    Each remaining candidate keeps its running difference-product valuation,
+    and a step adds only its valuation against the point just chosen: for a
+    finite set E this is O(n*|E|) valuations, with primality checked once.
 
     For the symbolic set of all integers the ordering 0, 1, ..., n is used
     with w[k] = v_p(k!); that this is a valid choice is covered by the
@@ -130,19 +126,20 @@ def v_ordering(E: SubsetDescriptor, n: int, p: int, tie_break: str = "min") -> V
     remaining = sorted(E.points, key=order_key)
     if tie_break == "max":
         remaining.reverse()
+    # The points are p-integral, so their denominators are prime to p and
+    # v_p(r/s - t/u) = v_p(r*u - t*s): the valuations need only integers.
+    pairs = [(x.numerator, x.denominator) for x in remaining]
     chosen = [remaining.pop(0)]
+    t, u = pairs.pop(0)
     w = [0]
+    sums = [0] * len(remaining)
     for _ in range(n):
-        best_val = None
-        best_x = None
-        best_i = None
-        for i, x in enumerate(remaining):
-            val = _step_valuation(x, chosen, p)
-            if best_val is None or val < best_val:
-                best_val, best_x, best_i = val, x, i
-        chosen.append(best_x)
-        w.append(best_val)
-        remaining.pop(best_i)
+        sums = [v + _vp(r * u - t * s, p) for v, (r, s) in zip(sums, pairs)]
+        # min returns the first minimum: ties go to the earliest in `remaining`
+        best = min(range(len(remaining)), key=sums.__getitem__)
+        chosen.append(remaining.pop(best))
+        t, u = pairs.pop(best)
+        w.append(sums.pop(best))
     return VOrdering(E, p, tuple(chosen), tuple(w))
 
 
@@ -161,20 +158,31 @@ def regular_basis(vord: VOrdering, k: int) -> Polynomial:
 def expand_in_basis(f: Polynomial, vord: VOrdering) -> list:
     """Coefficients c_k with f = sum c_k f_k, by the triangular recursion
     c_k = f(a_k) - sum_{h<k} c_h f_h(a_k).
+
+    With N_h(x) = prod_{j<h}(x - a_j), f_h = N_h / N_h(a_h), so the sum is
+    the Newton form sum_{h<k} q_h N_h(a_k) with q_h = c_h / N_h(a_h), and
+    N_h(a_k) is a running product over h.  No basis polynomial is built:
+    O(n^2) field operations for an ordering of length n+1.
     """
     n = vord.last_index
     if f.degree > n:
         raise DomainError(
             f"degree {f.degree} exceeds ordering length (need deg <= {n})"
         )
+    # Scaling every point by a common denominator D scales N_h by D^h,
+    # which cancels in f_h: the running products stay integers.
+    denominator = lcm(*(a.denominator for a in vord.points))
+    scaled = [a.numerator * (denominator // a.denominator) for a in vord.points]
     coeffs = []
-    bases = [regular_basis(vord, h) for h in range(n + 1)]
-    for k in range(n + 1):
-        a_k = vord.points[k]
+    newton = []  # q_h = c_h / N_h(a_h), with N_h taken at the scaled points
+    for k, a_k in enumerate(vord.points):
         value = f(a_k)
+        product = 1  # N_h(a_k)
         for h in range(k):
-            value -= coeffs[h] * bases[h](a_k)
+            value -= newton[h] * product
+            product *= scaled[k] - scaled[h]
         coeffs.append(value)
+        newton.append(value / product)
     return coeffs
 
 
@@ -196,7 +204,7 @@ def int_membership(
     threshold = 0 if target is MembershipTarget.VALUATION_RING else 1
     if E.is_finite:
         E.require_p_integral(p)
-        return all(vp(f(a), p) >= threshold for a in E.points)
+        return all(_vp(f(a), p) >= threshold for a in E.points)
     if target is MembershipTarget.VALUATION_RING:
         return p_integral_binomial(f, p)
     if not p_integral_binomial(f, p):

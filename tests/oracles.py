@@ -5,11 +5,19 @@ works from the definition by set-level search, the window oracle checks the
 triple conditions directly, the content oracle sweeps small primes with
 integer arithmetic and decides common divisors through a resultant, and the
 subset-product bound re-derives step minima from pair valuations.
+
+The reference kernels at the end are the library's earlier `v_ordering` and
+`expand_in_basis`, which recompute every candidate's whole difference product
+at each step and build every basis polynomial; the faster kernels must give
+the same results.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from intpoly import INF, DomainError, VOrdering, factorial_valuation, regular_basis, vp
+from intpoly.arith import require_prime
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -200,3 +208,71 @@ def content_oracle_unit(f_coeffs, g_coeffs) -> bool:
             if fv == 0 and gv == 0:
                 return False
     return True
+
+
+# -- reference kernels ----------------------------------------------------------
+
+
+def reference_step_valuation(x: Fraction, chosen, p: int):
+    total = 0
+    for a in chosen:
+        v = vp(x - a, p)
+        if v is INF:
+            return INF
+        total += v
+    return total
+
+
+def reference_v_ordering(E, n: int, p: int, tie_break: str = "min") -> VOrdering:
+    """Greedy ordering scoring every candidate against all chosen points."""
+    require_prime(p)
+    if n < 0:
+        raise DomainError("ordering length must be >= 1 (n >= 0)")
+    if tie_break not in ("min", "max"):
+        raise DomainError(f"unknown tie_break {tie_break!r}")
+    if not E.is_finite:
+        points = tuple(Fraction(k) for k in range(n + 1))
+        w = tuple(factorial_valuation(k, p) for k in range(n + 1))
+        return VOrdering(E, p, points, w)
+
+    E.require_p_integral(p)
+    if len(E.points) < n + 1:
+        raise DomainError(
+            f"set of size {len(E.points)} cannot host an ordering of length {n + 1}"
+        )
+    order_key = (lambda x: (x.numerator, x.denominator))
+    remaining = sorted(E.points, key=order_key)
+    if tie_break == "max":
+        remaining.reverse()
+    chosen = [remaining.pop(0)]
+    w = [0]
+    for _ in range(n):
+        best_val = None
+        best_x = None
+        best_i = None
+        for i, x in enumerate(remaining):
+            val = reference_step_valuation(x, chosen, p)
+            if best_val is None or val < best_val:
+                best_val, best_x, best_i = val, x, i
+        chosen.append(best_x)
+        w.append(best_val)
+        remaining.pop(best_i)
+    return VOrdering(E, p, tuple(chosen), tuple(w))
+
+
+def reference_expand_in_basis(f, vord: VOrdering) -> list:
+    """c_k = f(a_k) - sum_{h<k} c_h f_h(a_k), with every f_h built."""
+    n = vord.last_index
+    if f.degree > n:
+        raise DomainError(
+            f"degree {f.degree} exceeds ordering length (need deg <= {n})"
+        )
+    coeffs = []
+    bases = [regular_basis(vord, h) for h in range(n + 1)]
+    for k in range(n + 1):
+        a_k = vord.points[k]
+        value = f(a_k)
+        for h in range(k):
+            value -= coeffs[h] * bases[h](a_k)
+        coeffs.append(value)
+    return coeffs

@@ -330,7 +330,12 @@ def test_criterion_11_spectrum_coherence():
             p = rng.choice((2, 3, 5))
             x = Fraction(rng.randint(-50, 50))
             m = f.denominator_lcm()
-            threshold = 1 + (vp_int(m, p) if m % p == 0 else 0)
+            # f mod p has period p^N with N the smaller of 1 + v_p(m) and
+            # the number of base-p digits of deg f (Lucas); precision >= 1
+            digits = 0
+            while p ** digits <= f.degree:
+                digits += 1
+            threshold = max(1, min(1 + vp_int(m, p), digits))
             below = ideal_membership(
                 f, MaxCompletion(padic_residue(x, p, max(threshold - 1, 1)))
             )

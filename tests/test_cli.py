@@ -54,6 +54,14 @@ class TestExitCodes:
         assert payload["verdict"] == "unknown"
         assert payload["reason"] == "insufficient_precision"
 
+    def test_parse_error_deep_nesting(self, capsys):
+        poly = "(" * 3000 + "X" + ")" * 3000
+        code, out, _ = run_cli(capsys, "residues", "--poly", poly, "--p", "2", "--json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"]["kind"] == "parse_error"
+        assert "nested too deeply" in payload["error"]["message"]
+
     def test_domain_error_json_object(self, capsys):
         code, out, _ = run_cli(capsys, "bezout4", "2", "4", "6", "8", "--json")
         assert code == 1
@@ -122,6 +130,18 @@ class TestSubcommands:
         )
         payload = json.loads(out)
         assert payload == {"residue": 2, "verdict": "yes"}
+
+    def test_completion_digit_bound_decides(self, capsys):
+        # C(X, 4) mod 2 reads only three binary digits of x, so N = 3
+        # decides, though the denominator 24 alone would ask for N = 4
+        spec = "comp:p=2,x=5,N=3"
+        poly = "X(X-1)(X-2)(X-3)/24"
+        _, out, _ = run_cli(
+            capsys, "ideal", "member", "--ideal", spec, "--poly", poly, "--json"
+        )
+        assert json.loads(out) == {"verdict": "no"}
+        _, out, _ = run_cli(capsys, "representative", "--ideal", spec, "--poly", poly, "--json")
+        assert json.loads(out) == {"residue": 1, "verdict": "yes"}
 
     def test_frisch(self, capsys):
         _, out, _ = run_cli(capsys, "frisch", "--poly", "X", "--p", "2", "--json")

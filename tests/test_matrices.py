@@ -337,6 +337,15 @@ class TestTraceNormalize:
         M = poly_matrix(((2, 0), (0, 0)))
         assert trace_combination_search(M, max_deg=2, max_height=10) is None
 
+    def test_search_rounds_huge_quotients_exactly(self):
+        # size reduction divides integers far beyond the float range
+        big = 10 ** 400
+        M = poly_matrix(((big * X + 1, X), (X, big)))
+        assert trace_combination_search(M, max_deg=2, max_height=10) is None
+        r, s, t, u = trace_combination_search(M, max_deg=2, max_height=10 ** 802)
+        total = M[0][0] * r + M[1][0] * s + M[0][1] * t + M[1][1] * u
+        assert total == Polynomial.one()
+
 
 class TestAlgebraFacts:
     def test_det_multiplicativity_consequence(self):

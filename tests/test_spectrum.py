@@ -81,6 +81,15 @@ class TestMembership:
         assert verdict.value == "unknown"
         assert verdict.reason == "insufficient_precision"
 
+    def test_max_completion_finite_set_keeps_denominator_bound(self):
+        # f is in the ring over E but not 2-integral on Z, so the binary
+        # digits of deg f do not bound its period: f(0) = 0 but f(4) = 3
+        f = (X ** 2 - X) / 4
+        E = SubsetDescriptor.finite((0, 1, 4, 5))
+        below = ideal_membership(f, MaxCompletion(padic_residue(0, 2, 2)), E)
+        assert below.reason == "insufficient_precision"
+        assert ideal_membership(f, MaxCompletion(padic_residue(0, 2, 3)), E).is_yes
+
     def test_max_sequence(self):
         w = SeqWindow(2, (1, 3, 7, 15, 31, 63))
         # x_n = 2^(n+1) - 1 -> pseudo-limit -1; f = X + 1 lands in the ideal

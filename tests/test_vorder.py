@@ -18,8 +18,14 @@ from intpoly import (
     v_ordering,
     vp,
 )
+from intpoly import arith
 from intpoly.arith import vp_int
-from oracles import brute_force_w, pairwise_product_minima
+from oracles import (
+    brute_force_w,
+    pairwise_product_minima,
+    reference_expand_in_basis,
+    reference_v_ordering,
+)
 
 X = Polynomial.x()
 
@@ -51,6 +57,21 @@ class TestVOrdering:
     def test_rejects_non_integral_points(self):
         with pytest.raises(DomainError):
             v_ordering(finite(Fraction(1, 2), 1), 1, 2)
+
+    @pytest.mark.parametrize("p", (4, 1000001))
+    def test_rejects_composite_p(self, p):
+        E = finite(0, 1, 2)
+        with pytest.raises(DomainError):
+            v_ordering(E, 2, p)
+        with pytest.raises(DomainError):
+            v_ordering(ALL_INTEGERS, 2, p)
+        with pytest.raises(DomainError):
+            E.require_p_integral(p)
+        for target in MembershipTarget:
+            with pytest.raises(DomainError):
+                int_membership(X, E, p, target)
+            with pytest.raises(DomainError):
+                int_membership(X, ALL_INTEGERS, p, target)
 
     def test_greedy_matches_brute_force_smoke(self):
         rng = random.Random(11)
@@ -87,6 +108,61 @@ class TestVOrdering:
                 assert factorial_valuation(k, p) == (
                     0 if k == 0 else vp_int(factorial(k), p)
                 )
+
+
+def _sixteen_point_sets(rng, p):
+    """Random 16-point sets of p-integral rationals, then two arithmetic
+    progressions: one with a p-adic unit step, one with step divisible by p."""
+    dens = [d for d in (1, 1, 1, 2, 3, 5, 7, 11) if d % p]
+    for _ in range(4):
+        pts = set()
+        while len(pts) < 16:
+            pts.add(Fraction(rng.randint(-60, 60), rng.choice(dens)))
+        yield tuple(pts)
+    start = Fraction(rng.randint(-30, 30), rng.choice(dens))
+    unit = Fraction(rng.choice([k for k in (-4, -3, -2, -1, 1, 2, 3, 4) if k % p]), rng.choice(dens))
+    for step in (unit, unit * p):
+        yield tuple(start + step * i for i in range(16))
+
+
+class TestReferenceKernels:
+    """The running-sum ordering and the Newton-form expansion against the
+    earlier kernels kept in tests/oracles.py: identical reprs."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 1000003))
+    def test_matches_reference(self, p):
+        rng = random.Random(4000 + p)
+        for pts in _sixteen_point_sets(rng, p):
+            E = finite(*pts)
+            for n in (15, rng.randrange(0, 15)):
+                for tie_break in ("min", "max"):
+                    fast = v_ordering(E, n, p, tie_break)
+                    ref = reference_v_ordering(E, n, p, tie_break)
+                    assert repr(fast) == repr(ref)
+                scale = Fraction(p) ** rng.choice((-1, 0, 1))
+                f = Polynomial(
+                    [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) * scale
+                     for _ in range(rng.randrange(0, n + 2))]
+                )
+                assert repr(expand_in_basis(f, fast)) == repr(
+                    reference_expand_in_basis(f, fast)
+                )
+
+    def test_primality_checked_a_constant_number_of_times(self, monkeypatch):
+        calls = []
+        real = arith.is_prime
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        counts = []
+        for size in (4, 16):
+            calls.clear()
+            v_ordering(finite(*range(size)), size - 1, 1000003)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
 
 
 class TestRegularBasis:
