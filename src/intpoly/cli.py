@@ -398,8 +398,39 @@ def cmd_example(args):
 # -- parser -----------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that reads `--option -value` as `--option=-value`.
+
+    argparse takes a value that starts with '-' and does not look like a
+    negative number (the matrix -2,4;6,8, the polynomial -X, the set
+    -1,0,2) for an option string and exits without an answer.  Here a token
+    that starts with a single '-', is no option string itself and follows
+    an option that takes a value is that option's value.  Subparsers are
+    built with the parent's class, so every subcommand reads its own options
+    this way.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args is not None:
+            joined = []
+            for arg in args:
+                action = self._option_string_actions.get(joined[-1]) if joined else None
+                if (
+                    action is not None
+                    and action.nargs is None
+                    and arg.startswith("-")
+                    and not arg.startswith("--")
+                    and arg not in self._option_string_actions
+                ):
+                    joined[-1] += "=" + arg
+                else:
+                    joined.append(arg)
+            args = joined
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="intpoly",
         description="Exact computations with integer-valued polynomials",
     )

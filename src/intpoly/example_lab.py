@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
 
 from .arith import DomainError
 from .matrices import (
@@ -119,7 +120,7 @@ def reduce_relation(beta: Polynomial, gamma: Polynomial):
     """The reduction step: f = (X+1)*beta + X*gamma - 1 and the discriminant
     f^2 - 24*beta*gamma whose squareness governs solvability."""
     for name, q in (("beta", beta), ("gamma", gamma)):
-        if not is_int_valued(q)[0]:
+        if not is_int_valued(q):
             raise DomainError(f"{name} = {q} is not integer-valued")
     f = (X + 1) * beta + X * gamma - 1
     disc = f * f - 24 * beta * gamma
@@ -154,11 +155,11 @@ def recover_solution(
         if not ok:
             raise SolutionFailure(name, detail)
 
-    record("u_int_valued", is_int_valued(u)[0], f"u = {u}")
-    record("alpha_int_valued", is_int_valued(alpha)[0])
-    record("beta_int_valued", is_int_valued(beta)[0])
-    record("gamma_int_valued", is_int_valued(gamma)[0])
-    record("delta_int_valued", is_int_valued(delta)[0])
+    record("u_int_valued", is_int_valued(u), f"u = {u}")
+    record("alpha_int_valued", is_int_valued(alpha))
+    record("beta_int_valued", is_int_valued(beta))
+    record("gamma_int_valued", is_int_valued(gamma))
+    record("delta_int_valued", is_int_valued(delta))
 
     relation = alpha * 2 + (X + 1) * beta + X * gamma + delta * 3
     record("relation_unit", relation == Polynomial.one(), f"relation = {relation}")
@@ -241,22 +242,91 @@ def verify_known_solution() -> ExampleCertificate:
     raise DomainError(f"known solution failed for both signs: {failure}")
 
 
-def _exact_degree_candidates(deg, height: int):
-    """Integer polynomials with the given exact degree and coefficients in
-    [-height, height]; deg None stands for the zero polynomial."""
+def _int_relation(beta: tuple, gamma: tuple):
+    """reduce_relation on integer coefficient tuples (ascending, trimmed):
+    f = (X+1)*beta + X*gamma - 1 and disc = f^2 - 24*beta*gamma."""
+    f = [0] * (max(len(beta), len(gamma)) + 1)
+    for k, b in enumerate(beta):
+        f[k] += b
+        f[k + 1] += b
+    for k, c in enumerate(gamma):
+        f[k + 1] += c
+    f[0] -= 1
+    while f and not f[-1]:
+        f.pop()
+    disc = [0] * max(2 * len(f) - 1, len(beta) + len(gamma) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(f):
+            disc[i + j] += a * b
+    for i, b in enumerate(beta):
+        b *= 24
+        for j, c in enumerate(gamma):
+            disc[i + j] -= b * c
+    while disc and not disc[-1]:
+        disc.pop()
+    return f, disc
+
+
+def _int_sqrt(h: list):
+    """poly_sqrt on an integer coefficient list: the g with g*g == h and a
+    positive leading coefficient, as a list, or None.
+
+    By Gauss's lemma a square root in Q[X] of a polynomial in Z[X] lies in
+    Z[X], so every step of the coefficient recurrence must divide exactly.
+    """
+    if not h:
+        return []
+    if len(h) % 2 == 0 or h[-1] < 0:
+        return None
+    r = isqrt(h[-1])
+    if r * r != h[-1]:
+        return None
+    n = len(h) // 2
+    g = [0] * (n + 1)
+    g[n] = r
+    for k in range(n - 1, -1, -1):
+        acc = h[n + k]
+        for i in range(k + 1, n):
+            acc -= g[i] * g[n + k - i]
+        g[k], rem = divmod(acc, 2 * r)
+        if rem:
+            return None
+    square = [0] * len(h)
+    for i, a in enumerate(g):
+        for j, b in enumerate(g):
+            square[i + j] += a * b
+    return g if square == h else None
+
+
+def _u_int_valued(f: list, g: list, sign: int) -> bool:
+    """Whether u = (sign*g - 5f)/12 is integer-valued, on integer
+    coefficient lists: every forward difference of sign*g - 5f at 0 must be
+    divisible by 12."""
+    w = [0] * max(len(f), len(g))
+    for k, c in enumerate(g):
+        w[k] += sign * c
+    for k, c in enumerate(f):
+        w[k] -= 5 * c
+    values = []
+    for x in range(len(w)):
+        acc = 0
+        for c in reversed(w):
+            acc = acc * x + c
+        values.append(acc)
+    while values:
+        if values[0] % 12:
+            return False
+        values = [b - a for a, b in zip(values, values[1:])]
+    return True
+
+
+def _box(deg, height: int) -> list:
+    """Integer coefficient tuples of exact degree deg with entries in
+    [-height, height], in lexicographic order; deg None stands for the zero
+    polynomial ()."""
     if deg is None:
-        yield Polynomial.zero()
-        return
-    span = range(-height, height + 1)
-    lead_span = [c for c in span if c != 0]
-    for lower in product(span, repeat=deg):
-        for lead in lead_span:
-            yield Polynomial(tuple(lower) + (lead,))
-
-
-def _pair_height(beta: Polynomial, gamma: Polynomial) -> int:
-    coeffs = list(beta.coeffs) + list(gamma.coeffs)
-    return max((abs(c.numerator) for c in coeffs), default=0)
+        return [()]
+    return [cs for cs in product(range(-height, height + 1), repeat=deg + 1) if cs[-1]]
 
 
 def bounded_search(max_deg: int, max_height: int, budget: int) -> list:
@@ -265,9 +335,12 @@ def bounded_search(max_deg: int, max_height: int, budget: int) -> list:
     Candidates are visited in a fixed order: degree classes (zero, 0, 1, ...,
     max_deg) lexicographically in (deg beta, deg gamma), then increasing pair
     height (the max absolute coefficient over both), then coefficient tuples
-    lexicographically.  Each pair counts against the budget; for each one
-    whose discriminant is an exact square the certificate of the first
-    working sign is collected.
+    lexicographically.  Each pair counts against the budget.  A pair is
+    rejected on integer coefficient tuples first: its discriminant must have
+    an integer square root g, and u = (sign*g - 5f)/12 must be
+    integer-valued for a sign.  For a surviving pair the certificate of the
+    first working sign is recomputed and checked in full by
+    recover_solution, and collected.
     """
     if max_deg < 0 or max_height < 1:
         raise DomainError("bounds must be positive")
@@ -280,21 +353,30 @@ def bounded_search(max_deg: int, max_height: int, budget: int) -> list:
                 1, max_height + 1
             )
             for h in heights:
-                for beta in _exact_degree_candidates(deg_b, h):
-                    for gamma in _exact_degree_candidates(deg_g, h):
-                        if _pair_height(beta, gamma) != h:
-                            continue
+                # a pair has height h when beta or gamma has height h
+                gammas = _box(deg_g, h)
+                shell = [c for c in gammas if h in c or -h in c] if h else gammas
+                for beta in _box(deg_b, h):
+                    on_shell = not h or h in beta or -h in beta
+                    for gamma in gammas if on_shell else shell:
                         if seen >= budget:
                             return results
                         seen += 1
-                        _, disc = reduce_relation(beta, gamma)
-                        g = poly_sqrt(disc)
+                        f, disc = _int_relation(beta, gamma)
+                        g = _int_sqrt(disc)
                         if g is None:
                             continue
                         for sign in (1, -1):
+                            if not _u_int_valued(f, g, sign):
+                                continue
                             try:
                                 results.append(
-                                    recover_solution(beta, gamma, g, sign)
+                                    recover_solution(
+                                        Polynomial(beta),
+                                        Polynomial(gamma),
+                                        Polynomial(g),
+                                        sign,
+                                    )
                                 )
                                 break
                             except SolutionFailure:

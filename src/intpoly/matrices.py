@@ -39,38 +39,6 @@ def _identity(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def int_mat_mul(A, B) -> tuple:
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(rows)
-    )
-
-
-def int_det(M) -> int:
-    """Exact integer determinant (fraction-free elimination)."""
-    n = len(M)
-    if any(len(r) != n for r in M):
-        raise DomainError("determinant needs a square matrix")
-    A = [list(r) for r in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """S = U * A * W with U, W unimodular and S diagonal with a divisibility chain."""
@@ -229,7 +197,7 @@ def require_intpoly_matrix(M) -> tuple:
     M = poly_matrix(M)
     for row in M:
         for e in row:
-            if not is_int_valued(e)[0]:
+            if not is_int_valued(e):
                 raise DomainError(f"entry {e} is not integer-valued")
     return M
 
@@ -339,7 +307,7 @@ def unit_content_decide(entries) -> ContentVerdict:
     if all(e.is_zero for e in entries):
         raise DomainError("content of the zero family is the zero ideal")
     for e in entries:
-        if not is_int_valued(e)[0]:
+        if not is_int_valued(e):
             raise DomainError(f"entry {e} is not integer-valued")
 
     h, mults = bezout_gcd_many(entries)

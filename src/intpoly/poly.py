@@ -22,7 +22,6 @@ from .arith import (
     _residue,
     _vp,
     frac_sqrt,
-    prime_factors,
     require_prime,
     vp_int,
 )
@@ -451,18 +450,10 @@ def from_binomial_basis(coeffs) -> Polynomial:
     return BinomialForm(tuple(Fraction(c) for c in coeffs)).to_polynomial()
 
 
-def is_int_valued(f: Polynomial):
-    """Whether f maps every integer into the integers, plus denominator data.
-
-    Returns (flag, exponents) where exponents maps each prime p dividing the
-    minimal common denominator m of f's coefficients to v_p(m).  Writing
-    f = F/m with F integral, f(x + p^N t) == f(x) mod p whenever
-    N >= 1 + v_p(m), so the exponents bound how far residues must be read.
-    """
-    flag = to_binomial_basis(f).is_integral
-    m = f.denominator_lcm()
-    exponents = {p: vp_int(m, p) for p in prime_factors(m)} if m > 1 else {}
-    return flag, exponents
+def is_int_valued(f: Polynomial) -> bool:
+    """Whether f maps every integer into the integers: all its binomial-basis
+    coefficients are integers (at once when its own coefficients are)."""
+    return f.has_integer_coeffs() or to_binomial_basis(f).is_integral
 
 
 def residue_period_exp(f: Polynomial, p: int) -> int:

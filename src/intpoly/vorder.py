@@ -20,14 +20,17 @@ class SubsetDescriptor:
 
     points: tuple | None  # None means "all rational integers"
 
+    def __post_init__(self):
+        if self.points is None:
+            return
+        if len(set(self.points)) != len(self.points):
+            raise DomainError("finite set points must be pairwise distinct")
+        if not self.points:
+            raise DomainError("finite set must be nonempty")
+
     @classmethod
     def finite(cls, points) -> "SubsetDescriptor":
-        pts = tuple(Fraction(x) for x in points)
-        if len(set(pts)) != len(pts):
-            raise DomainError("finite set points must be pairwise distinct")
-        if not pts:
-            raise DomainError("finite set must be nonempty")
-        return cls(pts)
+        return cls(tuple(Fraction(x) for x in points))
 
     @classmethod
     def all_integers(cls) -> "SubsetDescriptor":

@@ -6,17 +6,31 @@ triple conditions directly, the content oracle sweeps small primes with
 integer arithmetic and decides common divisors through a resultant, and the
 subset-product bound re-derives step minima from pair valuations.
 
-The reference kernels at the end are the library's earlier `v_ordering` and
-`expand_in_basis`, which recompute every candidate's whole difference product
-at each step and build every basis polynomial; the faster kernels must give
-the same results.
+The reference kernels at the end are the library's earlier `v_ordering`,
+`expand_in_basis` and `bounded_search`: the first two recompute every
+candidate's whole difference product at each step and build every basis
+polynomial, the search builds every candidate pair's polynomials and
+certificate attempt.  The faster kernels must give the same results.  The
+integer matrix helpers check Smith normal form transforms.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from intpoly import INF, DomainError, VOrdering, factorial_valuation, regular_basis, vp
+from intpoly import (
+    INF,
+    DomainError,
+    Polynomial,
+    SolutionFailure,
+    VOrdering,
+    factorial_valuation,
+    poly_sqrt,
+    recover_solution,
+    reduce_relation,
+    regular_basis,
+    vp,
+)
 from intpoly.arith import require_prime
 
 
@@ -210,6 +224,41 @@ def content_oracle_unit(f_coeffs, g_coeffs) -> bool:
     return True
 
 
+# -- integer matrices -----------------------------------------------------------
+
+
+def int_mat_mul(A, B) -> tuple:
+    rows, inner, cols = len(A), len(B), len(B[0])
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols))
+        for i in range(rows)
+    )
+
+
+def int_det(M) -> int:
+    """Exact integer determinant (fraction-free elimination)."""
+    n = len(M)
+    if any(len(r) != n for r in M):
+        raise DomainError("determinant needs a square matrix")
+    A = [list(r) for r in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
 # -- reference kernels ----------------------------------------------------------
 
 
@@ -276,3 +325,61 @@ def reference_expand_in_basis(f, vord: VOrdering) -> list:
             value -= coeffs[h] * bases[h](a_k)
         coeffs.append(value)
     return coeffs
+
+
+def _exact_degree_candidates(deg, height: int):
+    """Integer polynomials with the given exact degree and coefficients in
+    [-height, height]; deg None stands for the zero polynomial."""
+    if deg is None:
+        yield Polynomial.zero()
+        return
+    span = range(-height, height + 1)
+    lead_span = [c for c in span if c != 0]
+    for lower in product(span, repeat=deg):
+        for lead in lead_span:
+            yield Polynomial(tuple(lower) + (lead,))
+
+
+def _pair_height(beta, gamma) -> int:
+    coeffs = list(beta.coeffs) + list(gamma.coeffs)
+    return max((abs(c.numerator) for c in coeffs), default=0)
+
+
+def reference_visited_pairs(max_deg: int, max_height: int):
+    """(beta, gamma) Polynomials in the search's visit order: every box
+    re-enumerated at every height, pairs off the height shell skipped."""
+    classes = [None] + list(range(max_deg + 1))
+    for deg_b in classes:
+        for deg_g in classes:
+            heights = [0] if (deg_b is None and deg_g is None) else range(
+                1, max_height + 1
+            )
+            for h in heights:
+                for beta in _exact_degree_candidates(deg_b, h):
+                    for gamma in _exact_degree_candidates(deg_g, h):
+                        if _pair_height(beta, gamma) == h:
+                            yield beta, gamma
+
+
+def reference_bounded_search(max_deg: int, max_height: int, budget: int) -> list:
+    """The search on Polynomials: poly_sqrt on each visited pair's
+    discriminant and recover_solution for both signs."""
+    if max_deg < 0 or max_height < 1:
+        raise DomainError("bounds must be positive")
+    results = []
+    seen = 0
+    for beta, gamma in reference_visited_pairs(max_deg, max_height):
+        if seen >= budget:
+            return results
+        seen += 1
+        _, disc = reduce_relation(beta, gamma)
+        g = poly_sqrt(disc)
+        if g is None:
+            continue
+        for sign in (1, -1):
+            try:
+                results.append(recover_solution(beta, gamma, g, sign))
+                break
+            except SolutionFailure:
+                continue
+    return results

@@ -39,8 +39,6 @@ from intpoly import (
 from intpoly.arith import prime_factors, vp_int
 from intpoly.example_lab import B_MATRIX, GARBLED_G_INDEX, PRINTED_G
 from intpoly.matrices import (
-    int_det,
-    int_mat_mul,
     poly_det2,
     poly_mat_mul,
     poly_matrix,
@@ -51,6 +49,8 @@ from oracles import (
     brute_force_w,
     classify_triples,
     content_oracle_unit,
+    int_det,
+    int_mat_mul,
     pairwise_product_minima,
 )
 

@@ -62,6 +62,27 @@ class TestExitCodes:
         assert payload["error"]["kind"] == "parse_error"
         assert "nested too deeply" in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("snf", "--matrix", "-2,4;6,8"),
+            ("member", "--poly", "-X", "--all", "--p", "2"),
+            ("vorder", "--set", "-1,0,2", "--p", "2"),
+        ],
+    )
+    def test_values_starting_with_dash(self, capsys, argv):
+        # `--option -value` answers exactly as `--option=-value`
+        joined = (argv[0], f"{argv[1]}={argv[2]}") + argv[3:]
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 0 and err == ""
+        assert (code, out) == run_cli(capsys, *joined, "--json")[:2]
+        json.loads(out)
+
+    def test_missing_value_still_rejected(self, capsys):
+        code = main(["member", "--poly", "--json", "--all", "--p", "2"])
+        capsys.readouterr()
+        assert code == 2
+
     def test_domain_error_json_object(self, capsys):
         code, out, _ = run_cli(capsys, "bezout4", "2", "4", "6", "8", "--json")
         assert code == 1

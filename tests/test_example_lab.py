@@ -7,13 +7,25 @@ from intpoly import (
     Polynomial,
     SolutionFailure,
     bounded_search,
+    from_binomial_basis,
+    is_int_valued,
     poly_sqrt,
     recover_solution,
     reduce_relation,
     verify_known_solution,
 )
-from intpoly.example_lab import B_MATRIX, GARBLED_G_INDEX, PRINTED_G
+from intpoly.example_lab import (
+    B_MATRIX,
+    GARBLED_G_INDEX,
+    KNOWN_BETA,
+    KNOWN_GAMMA,
+    PRINTED_G,
+    _int_relation,
+    _int_sqrt,
+    _u_int_valued,
+)
 from intpoly.matrices import poly_det2, poly_mat_mul, poly_matrix, poly_trace
+from oracles import reference_bounded_search, reference_visited_pairs
 
 X = Polynomial.x()
 ZERO = Polynomial.zero()
@@ -163,3 +175,105 @@ class TestBoundedSearch:
         a = [c.to_json() for c in bounded_search(1, 2, 2000)]
         b = [c.to_json() for c in bounded_search(1, 2, 2000)]
         assert a == b
+
+
+def _ints(q: Polynomial) -> tuple:
+    return tuple(int(c) for c in q.coeffs)
+
+
+def _sampled_pairs():
+    """The first 3,000 visited pairs of boxes (1, 2) (all 625) and (2, 2)."""
+    for box in ((1, 2), (2, 2)):
+        for k, pair in enumerate(reference_visited_pairs(*box)):
+            if k == 3000:
+                break
+            yield pair
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("budget", [300, 10**4])
+    @pytest.mark.parametrize("max_height", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_deg", [0, 1, 2])
+    def test_matches_reference(self, max_deg, max_height, budget):
+        got = [c.to_json() for c in bounded_search(max_deg, max_height, budget)]
+        want = [
+            c.to_json() for c in reference_bounded_search(max_deg, max_height, budget)
+        ]
+        assert got == want
+
+    def test_relation_and_square_root_match_polynomial_path(self):
+        pairs = squares = 0
+        for beta, gamma in _sampled_pairs():
+            pairs += 1
+            f, disc = reduce_relation(beta, gamma)
+            f_int, disc_int = _int_relation(_ints(beta), _ints(gamma))
+            assert Polynomial(f_int) == f and Polynomial(disc_int) == disc
+            assert list(_ints(disc)) == disc_int
+            g = poly_sqrt(disc)
+            g_int = _int_sqrt(disc_int)
+            if g is None:
+                assert g_int is None
+            else:
+                squares += 1
+                assert g_int is not None and Polynomial(g_int) == g
+        # the square discriminants here are those with beta or gamma zero
+        assert pairs == 625 + 3000 and squares == 198
+
+    def test_square_root_matches_poly_sqrt_near_squares(self):
+        # squares of random integer polynomials and their one-coefficient
+        # perturbations, which reach the divisibility and final checks
+        rng = random.Random(83)
+        cases = 0
+        for _ in range(300):
+            g = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+            square = g * g
+            perturbed = [
+                square + Polynomial([0] * k + [rng.choice((-2, -1, 1, 2, 4))])
+                for k in range(square.degree + 1)
+            ]
+            for h in [square] + perturbed:
+                want = poly_sqrt(h)
+                got = _int_sqrt(list(_ints(h)))
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert Polynomial(got) == want
+                cases += want is None
+        assert cases > 1000
+
+    def test_u_filter_matches_recover_solution(self):
+        for beta, gamma in _sampled_pairs():
+            f, disc = _int_relation(_ints(beta), _ints(gamma))
+            g = _int_sqrt(disc)
+            if g is None:
+                continue
+            for sign in (1, -1):
+                try:
+                    recover_solution(beta, gamma, Polynomial(g), sign)
+                    past_u = True
+                except SolutionFailure as exc:
+                    past_u = exc.failed_check != "u_int_valued"
+                assert _u_int_valued(f, g, sign) == past_u
+
+    def test_u_filter_matches_is_int_valued(self):
+        # sign*g - 5f = 12u + j*X^k: u integer-valued, so integer-valued
+        # exactly when j == 0
+        rng = random.Random(84)
+        for _ in range(400):
+            f = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))])
+            u = from_binomial_basis([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))])
+            j, k = rng.choice((0, 0, 1, 3, 4, 6, 11)), rng.randint(0, 3)
+            sign = rng.choice((1, -1))
+            g = (u * 12 + f * 5 + Polynomial([0] * k + [j])) * sign
+            assert _u_int_valued(list(_ints(f)), list(_ints(g)), sign) == (j == 0)
+            assert (j == 0) == is_int_valued((g * sign - f * 5) / 12)
+
+    def test_known_solution_passes_filter(self):
+        f, disc = _int_relation(_ints(KNOWN_BETA), _ints(KNOWN_GAMMA))
+        g = _int_sqrt(disc)
+        assert g is not None
+        signs = [sign for sign in (1, -1) if _u_int_valued(f, g, sign)]
+        assert signs
+        cert = recover_solution(KNOWN_BETA, KNOWN_GAMMA, Polynomial(g), signs[0])
+        known = verify_known_solution().to_json()
+        del known["checks"]["printed_g_agreement"]
+        assert cert.to_json() == known

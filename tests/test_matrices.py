@@ -17,14 +17,12 @@ from intpoly import (
 )
 from intpoly.arith import vp
 from intpoly.matrices import (
-    int_det,
-    int_mat_mul,
     poly_det2,
     poly_mat_mul,
     poly_matrix,
     poly_trace,
 )
-from oracles import content_oracle_unit
+from oracles import content_oracle_unit, int_det, int_mat_mul
 
 X = Polynomial.x()
 

@@ -58,6 +58,14 @@ class TestVOrdering:
         with pytest.raises(DomainError):
             v_ordering(finite(Fraction(1, 2), 1), 1, 2)
 
+    def test_direct_construction_checked(self):
+        points = (Fraction(1), Fraction(1), Fraction(3))
+        with pytest.raises(DomainError):
+            v_ordering(SubsetDescriptor(points), 2, 2)
+        with pytest.raises(DomainError):
+            SubsetDescriptor(())
+        assert SubsetDescriptor(None) == ALL_INTEGERS
+
     @pytest.mark.parametrize("p", (4, 1000001))
     def test_rejects_composite_p(self, p):
         E = finite(0, 1, 2)
