@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 
 class DomainError(ValueError):
@@ -184,18 +183,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputParseError(f"bad rational {text!r}: {exc}") from None
-
-
-def frac_sqrt(q: Fraction):
-    """Exact square root of a rational, or None if q is not a square."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
 
 
 def prime_factors(n: int) -> list[int]:

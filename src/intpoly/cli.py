@@ -405,22 +405,29 @@ class _ArgumentParser(argparse.ArgumentParser):
     negative number (the matrix -2,4;6,8, the polynomial -X, the set
     -1,0,2) for an option string and exits without an answer.  Here a token
     that starts with a single '-', is no option string itself and follows
-    an option that takes a value is that option's value.  Subparsers are
-    built with the parent's class, so every subcommand reads its own options
-    this way.
+    an option that takes a value, named in full or by an unambiguous
+    prefix, is that option's value.  Subparsers are built with the parent's
+    class, so every subcommand reads its own options this way.
     """
+
+    def _takes_value(self, token: str) -> bool:
+        actions = self._option_string_actions
+        action = actions.get(token)
+        if action is None and token.startswith("--") and self.allow_abbrev:
+            named = {a for s, a in actions.items() if s.startswith(token)}
+            action = named.pop() if len(named) == 1 else None
+        return action is not None and action.nargs is None
 
     def parse_known_args(self, args=None, namespace=None):
         if args is not None:
             joined = []
             for arg in args:
-                action = self._option_string_actions.get(joined[-1]) if joined else None
                 if (
-                    action is not None
-                    and action.nargs is None
+                    joined
                     and arg.startswith("-")
                     and not arg.startswith("--")
                     and arg not in self._option_string_actions
+                    and self._takes_value(joined[-1])
                 ):
                     joined[-1] += "=" + arg
                 else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import isqrt
 
 from .arith import DomainError
 from .matrices import (
@@ -21,7 +20,7 @@ from .matrices import (
     poly_trace,
     unit_content_decide,
 )
-from .poly import Polynomial, is_int_valued, parse_polynomial, poly_sqrt
+from .poly import Polynomial, _int_sqrt, is_int_valued, parse_polynomial, poly_sqrt
 
 X = Polynomial.x()
 
@@ -267,37 +266,6 @@ def _int_relation(beta: tuple, gamma: tuple):
     return f, disc
 
 
-def _int_sqrt(h: list):
-    """poly_sqrt on an integer coefficient list: the g with g*g == h and a
-    positive leading coefficient, as a list, or None.
-
-    By Gauss's lemma a square root in Q[X] of a polynomial in Z[X] lies in
-    Z[X], so every step of the coefficient recurrence must divide exactly.
-    """
-    if not h:
-        return []
-    if len(h) % 2 == 0 or h[-1] < 0:
-        return None
-    r = isqrt(h[-1])
-    if r * r != h[-1]:
-        return None
-    n = len(h) // 2
-    g = [0] * (n + 1)
-    g[n] = r
-    for k in range(n - 1, -1, -1):
-        acc = h[n + k]
-        for i in range(k + 1, n):
-            acc -= g[i] * g[n + k - i]
-        g[k], rem = divmod(acc, 2 * r)
-        if rem:
-            return None
-    square = [0] * len(h)
-    for i, a in enumerate(g):
-        for j, b in enumerate(g):
-            square[i + j] += a * b
-    return g if square == h else None
-
-
 def _u_int_valued(f: list, g: list, sign: int) -> bool:
     """Whether u = (sign*g - 5f)/12 is integer-valued, on integer
     coefficient lists: every forward difference of sign*g - 5f at 0 must be
@@ -320,13 +288,23 @@ def _u_int_valued(f: list, g: list, sign: int) -> bool:
     return True
 
 
-def _box(deg, height: int) -> list:
-    """Integer coefficient tuples of exact degree deg with entries in
-    [-height, height], in lexicographic order; deg None stands for the zero
-    polynomial ()."""
+def _box(deg, height: int, shell: bool = False):
+    """Iterator over the integer coefficient tuples of exact degree deg with
+    entries in [-height, height], in lexicographic order; with shell, only
+    those with an entry of absolute value height.  deg None stands for the
+    zero polynomial (), which lies on no shell (height >= 1)."""
     if deg is None:
-        return [()]
-    return [cs for cs in product(range(-height, height + 1), repeat=deg + 1) if cs[-1]]
+        return iter(() if shell else ((),))
+    coeffs = range(-height, height + 1)
+    last = [c for c in coeffs if c]
+    if not shell:
+        return product(*[coeffs] * deg, last)
+    edge = (-height, height)
+    return (
+        head + (c,)
+        for head in product(coeffs, repeat=deg)
+        for c in (last if height in head or -height in head else edge)
+    )
 
 
 def bounded_search(max_deg: int, max_height: int, budget: int) -> list:
@@ -353,12 +331,10 @@ def bounded_search(max_deg: int, max_height: int, budget: int) -> list:
                 1, max_height + 1
             )
             for h in heights:
-                # a pair has height h when beta or gamma has height h
-                gammas = _box(deg_g, h)
-                shell = [c for c in gammas if h in c or -h in c] if h else gammas
                 for beta in _box(deg_b, h):
-                    on_shell = not h or h in beta or -h in beta
-                    for gamma in gammas if on_shell else shell:
+                    # a pair has height h when beta or gamma has height h
+                    off_shell = h > 0 and h not in beta and -h not in beta
+                    for gamma in _box(deg_g, h, shell=off_shell):
                         if seen >= budget:
                             return results
                         seen += 1

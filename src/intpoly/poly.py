@@ -14,14 +14,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
 from .arith import (
     DomainError,
     InputParseError,
     _residue,
     _vp,
-    frac_sqrt,
     require_prime,
     vp_int,
 )
@@ -540,26 +539,43 @@ def bezout_gcd_many(polys):
     return h, mults
 
 
-def poly_sqrt(h: Polynomial):
-    """Exact g with g*g == h and positive leading coefficient, else None."""
-    if h.is_zero:
-        return Polynomial.zero()
-    if h.degree % 2 != 0:
+def _int_sqrt(h: list):
+    """Square root of an integer coefficient list (ascending, trimmed): the
+    list g with g*g == h and a positive leading coefficient, or None.
+
+    By Gauss's lemma a square root in Q[X] of a polynomial in Z[X] lies in
+    Z[X], so every step of the coefficient recurrence must divide exactly.
+    """
+    if not h:
+        return []
+    if len(h) % 2 == 0 or h[-1] < 0:
         return None
-    n = h.degree // 2
-    lead = frac_sqrt(h.leading_coefficient)
-    if lead is None:
+    r = isqrt(h[-1])
+    if r * r != h[-1]:
         return None
-    g = [Fraction(0)] * (n + 1)
-    g[n] = lead
+    n = len(h) // 2
+    g = [0] * (n + 1)
+    g[n] = r
     for k in range(n - 1, -1, -1):
-        acc = Fraction(0)
+        acc = h[n + k]
         for i in range(k + 1, n):
-            j = n + k - i
-            if k < j <= n:
-                acc += g[i] * g[j]
-        g[k] = (h.coefficient(n + k) - acc) / (2 * lead)
-    candidate = Polynomial(g)
-    if candidate * candidate == h:
-        return candidate
-    return None
+            acc -= g[i] * g[n + k - i]
+        g[k], rem = divmod(acc, 2 * r)
+        if rem:
+            return None
+    square = [0] * len(h)
+    for i, a in enumerate(g):
+        for j, b in enumerate(g):
+            square[i + j] += a * b
+    return g if square == h else None
+
+
+def poly_sqrt(h: Polynomial):
+    """Exact g with g*g == h and positive leading coefficient, else None.
+
+    With m the lcm of the denominators, h*m^2 lies in Z[X] and its root,
+    if any, is m*g; so the integer recurrence serves rational h too.
+    """
+    m = h.denominator_lcm()
+    g = _int_sqrt([int(c * m * m) for c in h.coeffs])
+    return None if g is None else Polynomial(g) / m

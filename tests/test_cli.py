@@ -68,10 +68,13 @@ class TestExitCodes:
             ("snf", "--matrix", "-2,4;6,8"),
             ("member", "--poly", "-X", "--all", "--p", "2"),
             ("vorder", "--set", "-1,0,2", "--p", "2"),
+            ("snf", "--mat", "-2,4;6,8"),
+            ("member", "--po", "-X", "--all", "--p", "2"),
         ],
     )
     def test_values_starting_with_dash(self, capsys, argv):
-        # `--option -value` answers exactly as `--option=-value`
+        # `--option -value` answers exactly as `--option=-value`, also when
+        # the option is abbreviated
         joined = (argv[0], f"{argv[1]}={argv[2]}") + argv[3:]
         code, out, err = run_cli(capsys, *argv, "--json")
         assert code == 0 and err == ""

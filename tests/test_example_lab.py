@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -20,11 +21,12 @@ from intpoly.example_lab import (
     KNOWN_BETA,
     KNOWN_GAMMA,
     PRINTED_G,
+    _box,
     _int_relation,
-    _int_sqrt,
     _u_int_valued,
 )
 from intpoly.matrices import poly_det2, poly_mat_mul, poly_matrix, poly_trace
+from intpoly.poly import _int_sqrt
 from oracles import reference_bounded_search, reference_visited_pairs
 
 X = Polynomial.x()
@@ -200,6 +202,27 @@ class TestIntegerKernel:
             c.to_json() for c in reference_bounded_search(max_deg, max_height, budget)
         ]
         assert got == want
+
+    def test_finds_the_hit_of_box_2_4(self):
+        # the only hit in boxes d <= 2, h <= 4 lies near pair 10^5; the
+        # reference search (slow at this size) found exactly this one
+        beta, gamma = -X - 1, -X ** 2 - 2 * X + 4
+        g = X ** 3 + 3 * X ** 2 - 2 * X - 10
+        got = [c.to_json() for c in bounded_search(2, 4, 10**5)]
+        assert got == [recover_solution(beta, gamma, g, 1).to_json()]
+
+    @pytest.mark.parametrize("deg", [None, 0, 1, 2, 3])
+    def test_box_and_shell_enumeration(self, deg):
+        for h in (1, 2, 3):
+            full = [
+                cs
+                for cs in product(range(-h, h + 1), repeat=0 if deg is None else deg + 1)
+                if deg is None or cs[-1]
+            ]
+            assert list(_box(deg, h)) == full
+            assert list(_box(deg, h, shell=True)) == [
+                cs for cs in full if h in cs or -h in cs
+            ]
 
     def test_relation_and_square_root_match_polynomial_path(self):
         pairs = squares = 0

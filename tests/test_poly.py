@@ -181,6 +181,11 @@ class TestPolySqrt:
         assert poly_sqrt(X ** 2 + 1) is None
         square = (2 * X ** 2 - 3) ** 2
         assert poly_sqrt(square) == 2 * X ** 2 - 3
+        # rational coefficients: the root of h*m^2 scaled back by m
+        half = Fraction(1, 2)
+        assert poly_sqrt((X / 3 - half) ** 2) == X / 3 - half
+        assert poly_sqrt(X ** 2 * half) is None
+        assert poly_sqrt((X / 3 - half) ** 2 + half) is None
 
     def test_odd_degree_and_zero(self):
         assert poly_sqrt(X ** 3) is None
