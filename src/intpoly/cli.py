@@ -4,10 +4,14 @@ One subcommand per library operation, each with a --json twin of its
 human-readable output.  Exit codes: 0 for success (including honest
 "unknown" verdicts), 1 for domain errors (precondition failures), 2 for
 unparseable requests.  Identical requests produce byte-identical output.
+An error is reported as {"error": {"kind", "message"}} on stdout when
+--json is given, and on stderr otherwise.  `main(argv)` may be called any
+number of times in one process; the parser is built on the first call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,6 +26,7 @@ from .matrices import (
     poly_det2,
     poly_mat_mul,
     poly_trace,
+    require_2x2_pair,
     snf_with_transforms,
     strong_bezout_z,
     trace_combination_search,
@@ -306,6 +311,7 @@ def cmd_ucs(args):
 def cmd_tracenorm(args):
     B = _parse_input(lambda: _parse_poly_matrix(args.B))
     C = _parse_input(lambda: _parse_poly_matrix(args.C))
+    require_2x2_pair(B, C, "trace normalization")
     if args.comb:
         comb = _parse_input(
             lambda: tuple(parse_polynomial(t) for t in args.comb.split(";"))
@@ -398,8 +404,18 @@ def cmd_example(args):
 # -- parser -----------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """An argparse usage error, raised instead of exiting so that main()
+    can report it in the format the request asked for."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """An ArgumentParser that reads `--option -value` as `--option=-value`.
+    """An ArgumentParser that reads `--option -value` as `--option=-value`
+    and raises _UsageError where argparse would print usage and exit.
 
     argparse takes a value that starts with '-' and does not look like a
     negative number (the matrix -2,4;6,8, the polynomial -X, the set
@@ -435,105 +451,111 @@ class _ArgumentParser(argparse.ArgumentParser):
             args = joined
         return super().parse_known_args(args, namespace)
 
+    def error(self, message):
+        raise _UsageError(self, message)
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by all later
+    ones.  Parsing never changes it and no option has a mutable default, so
+    one parser serves every main() call in the process."""
     parser = _ArgumentParser(
         prog="intpoly",
         description="Exact computations with integer-valued polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(handler=handler)
         return p
 
-    p = add("vorder", cmd_vorder, help="greedy ordering with step valuations")
+    p = add("vorder", help="greedy ordering with step valuations")
     p.add_argument("--set", help="comma-separated points")
     p.add_argument("--all", action="store_true", help="the set of all integers")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, help="last index of the ordering")
 
-    p = add("basis", cmd_basis, help="interpolation basis polynomial f_k")
+    p = add("basis", help="interpolation basis polynomial f_k")
     p.add_argument("--set", help="comma-separated points")
     p.add_argument("--all", action="store_true")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("expand", cmd_expand, help="expansion coefficients in the basis")
+    p = add("expand", help="expansion coefficients in the basis")
     p.add_argument("--poly", required=True)
     p.add_argument("--set", help="comma-separated points")
     p.add_argument("--all", action="store_true")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int)
 
-    p = add("member", cmd_member, help="integer-valued membership at one prime")
+    p = add("member", help="integer-valued membership at one prime")
     p.add_argument("--poly", required=True)
     p.add_argument("--set", help="comma-separated points")
     p.add_argument("--all", action="store_true")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--target", choices=("v", "m"), default="v")
 
-    p = add("residues", cmd_residues, help="value set mod p over the integers")
+    p = add("residues", help="value set mod p over the integers")
     p.add_argument("--poly", required=True)
     p.add_argument("--p", type=int, required=True)
 
-    p = add("classify", cmd_classify, help="classify a sequence window")
+    p = add("classify", help="classify a sequence window")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--seq", required=True, help="comma-separated points")
 
-    p = add("pseudolimit", cmd_pseudolimit, help="pseudo-limit test")
+    p = add("pseudolimit", help="pseudo-limit test")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--x", required=True)
 
-    p = add("imageclass", cmd_imageclass, help="classify the image of a window")
+    p = add("imageclass", help="classify the image of a window")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--poly", required=True)
 
-    p = add("ideal", cmd_ideal, help="ideal membership")
+    p = add("ideal", help="ideal membership")
     p.add_argument("action", choices=("member",))
     p.add_argument("--ideal", required=True, help="pq:|max:|comp:|seq:|iem: spec")
     p.add_argument("--poly", required=True)
     p.add_argument("--set", help="finite set (default: all integers)")
 
-    p = add("representative", cmd_representative, help="residue representative")
+    p = add("representative", help="residue representative")
     p.add_argument("--ideal", required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--set")
 
-    p = add("frisch", cmd_frisch, help="residue separation product check")
+    p = add("frisch", help="residue separation product check")
     p.add_argument("--poly", required=True)
     p.add_argument("--p", type=int, required=True)
 
-    p = add("snf", cmd_snf, help="Smith normal form with transforms")
+    p = add("snf", help="Smith normal form with transforms")
     p.add_argument("--matrix", required=True, help="rows ;-separated, entries ,-separated")
 
-    p = add("bezout4", cmd_bezout4, help="four-term strong Bezout relation over Z")
+    p = add("bezout4", help="four-term strong Bezout relation over Z")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
     p.add_argument("d", type=int)
 
-    p = add("content", cmd_content, help="unit-content decision")
+    p = add("content", help="unit-content decision")
     p.add_argument("--entries", required=True, help=";-separated polynomials")
 
-    p = add("ucs", cmd_ucs, help="pair check for the 2x2 matrix criterion")
+    p = add("ucs", help="pair check for the 2x2 matrix criterion")
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
 
-    p = add("tracenorm", cmd_tracenorm, help="normalize a pair to an idempotent")
+    p = add("tracenorm", help="normalize a pair to an idempotent")
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
     p.add_argument("--comb", help="four ;-separated combination polynomials")
 
-    p = add("idem", cmd_idem, help="idempotency check")
+    p = add("idem", help="idempotency check")
     p.add_argument("--M", required=True)
 
-    p = add("example", cmd_example, help="the worked strong-Bezout instance")
+    p = add("example", help="the worked strong-Bezout instance")
     p.add_argument("action", choices=("verify", "search"))
     p.add_argument("--stdin", action="store_true", help="re-verify a JSON certificate")
     p.add_argument("--max-deg", type=int, default=1)
@@ -544,18 +566,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        if "--json" in argv:
+            _emit_error(True, "parse_error", str(exc))
+        else:
+            exc.parser.print_usage(sys.stderr)
+            print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # -h printed the help
         return exc.code if isinstance(exc.code, int) else 2
+    # looked up on each call, not stored in the shared parser, so that a
+    # handler replaced on this module (traced, or patched in a test) is used
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        payload, lines = args.handler(args)
+        payload, lines = handler(args)
     except InputParseError as exc:
-        _emit_error(args, "parse_error", str(exc))
+        _emit_error(args.json, "parse_error", str(exc))
         return 2
     except DomainError as exc:
-        _emit_error(args, "domain_error", str(exc))
+        _emit_error(args.json, "domain_error", str(exc))
+        return 1
+    except Exception as exc:  # a fault of the program, reported, not raised
+        _emit_error(args.json, "internal_error", f"{type(exc).__name__}: {exc}")
         return 1
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -565,8 +600,8 @@ def main(argv=None) -> int:
     return 0
 
 
-def _emit_error(args, kind: str, message: str) -> None:
-    if getattr(args, "json", False):
+def _emit_error(json_mode: bool, kind: str, message: str) -> None:
+    if json_mode:
         print(json.dumps({"error": {"kind": kind, "message": message}}, sort_keys=True))
     else:
         print(f"error: {message}", file=sys.stderr)

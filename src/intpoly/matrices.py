@@ -13,6 +13,7 @@ from math import gcd, lcm
 from .arith import DomainError, _vp, ext_gcd, prime_factors
 from .poly import (
     Polynomial,
+    _residue_classes,
     bezout_gcd_many,
     is_int_valued,
     residue_period_exp,
@@ -193,6 +194,12 @@ def poly_matrix(rows) -> tuple:
     return tuple(out)
 
 
+def require_2x2_pair(B, C, what: str) -> None:
+    """Raise DomainError unless B and C (rectangular) are both 2x2."""
+    if len(B) != 2 or len(B[0]) != 2 or len(C) != 2 or len(C[0]) != 2:
+        raise DomainError(f"{what} expects two 2x2 matrices")
+
+
 def require_intpoly_matrix(M) -> tuple:
     M = poly_matrix(M)
     for row in M:
@@ -297,7 +304,8 @@ def unit_content_decide(entries) -> ContentVerdict:
     gives c = sum(u_i * f_i) with u_i integral, so any maximal ideal above p
     containing all entries forces p | c.  (3) For each such p, sweep one full
     period of residues; a class where every entry has positive valuation is a
-    non-unit witness, and full coverage certifies the unit verdict.
+    non-unit witness, and full coverage certifies the unit verdict.  A
+    period of more than poly.MAX_RESIDUE_CLASSES classes is a DomainError.
     """
     entries = tuple(
         e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in entries
@@ -325,7 +333,7 @@ def unit_content_decide(entries) -> ContentVerdict:
         # every entry's values mod p are constant on the classes mod p^exp
         exp = max(1, *(residue_period_exp(e, p) for e in entries))
         table = {}
-        for alpha in range(p ** exp):
+        for alpha in _residue_classes(p, exp):
             witness_idx = None
             for i, e in enumerate(entries):
                 if _vp(e(alpha), p) == 0:
@@ -412,8 +420,7 @@ def ucs_pair_check(B, C) -> UcsReport:
     """
     B = require_intpoly_matrix(B)
     C = require_intpoly_matrix(C)
-    if len(B) != 2 or len(B[0]) != 2 or len(C) != 2 or len(C[0]) != 2:
-        raise DomainError("pair check expects two 2x2 matrices")
+    require_2x2_pair(B, C, "pair check")
     M = poly_mat_mul(B, C)
     det_zero = poly_det2(M).is_zero
     entries = tuple(e for row in M for e in row)
@@ -492,8 +499,7 @@ def trace_normalize(B, C, comb) -> tuple:
     """
     B = require_intpoly_matrix(B)
     C = require_intpoly_matrix(C)
-    if len(B) != 2 or len(B[0]) != 2 or len(C) != 2 or len(C[0]) != 2:
-        raise DomainError("trace normalization expects two 2x2 matrices")
+    require_2x2_pair(B, C, "trace normalization")
     r, s, t, u = (
         e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in comb
     )

@@ -479,16 +479,32 @@ def p_integral_binomial(f: Polynomial, p: int) -> bool:
     return all(_vp(c, p) >= 0 for c in to_binomial_basis(f).coeffs)
 
 
+# the most residue classes one sweep may visit: at about 10 us a class, a
+# sweep stays near one second
+MAX_RESIDUE_CLASSES = 10**5
+
+
+def _residue_classes(p: int, exp: int) -> range:
+    """The classes 0 .. p^exp - 1 of one residue sweep, refused with a
+    DomainError when there are more than MAX_RESIDUE_CLASSES of them."""
+    if p ** exp > MAX_RESIDUE_CLASSES:
+        raise DomainError(
+            f"sweeping {p}^{exp} residue classes exceeds the cap of "
+            f"{MAX_RESIDUE_CLASSES} classes"
+        )
+    return range(p ** exp)
+
+
 def residue_image(f: Polynomial, p: int) -> frozenset:
     """The set { f(x) mod p : x in Z }, computed over one exact period.
 
     Requires every binomial coefficient of f to be p-integral; the period
-    is p^residue_period_exp(f, p).
+    is p^residue_period_exp(f, p), at most MAX_RESIDUE_CLASSES.
     """
     if not p_integral_binomial(f, p):
         raise DomainError(f"{f} is not p-integrally valued at p={p}")
     return frozenset(
-        _residue(f(x), p) for x in range(p ** residue_period_exp(f, p))
+        _residue(f(x), p) for x in _residue_classes(p, residue_period_exp(f, p))
     )
 
 

@@ -1,9 +1,18 @@
+import argparse
 import io
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
-from intpoly.cli import main
+from intpoly.cli import build_parser, main
+
+# stdout and exit code of every README CLI example, in text and --json mode,
+# recorded before the parser was shared between main() calls
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -82,9 +91,101 @@ class TestExitCodes:
         json.loads(out)
 
     def test_missing_value_still_rejected(self, capsys):
-        code = main(["member", "--poly", "--json", "--all", "--p", "2"])
-        capsys.readouterr()
-        assert code == 2
+        code, out, err = run_cli(capsys, "member", "--poly", "--json", "--all", "--p", "2")
+        assert code == 2 and err == ""
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "error": {"kind": "parse_error", "message": "argument --poly: expected one argument"}
+        }
+
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (
+                ["member", "--poly", "--all", "--p", "2"],
+                "usage: intpoly member [-h] [--json] --poly POLY [--set SET] [--all] --p P\n"
+                "                      [--target {v,m}]\n"
+                "intpoly member: error: argument --poly: expected one argument\n",
+            ),
+            (
+                ["residues", "--poly", "X", "--p", "two"],
+                "usage: intpoly residues [-h] [--json] --poly POLY --p P\n"
+                "intpoly residues: error: argument --p: invalid int value: 'two'\n",
+            ),
+            (
+                ["vorder", "--set", "0,1", "--p", "2", "--n", "1", "--bogus"],
+                "usage: intpoly [-h]\n"
+                "               {vorder,basis,expand,member,residues,classify,pseudolimit,"
+                "imageclass,ideal,representative,frisch,snf,bezout4,content,ucs,tracenorm,"
+                "idem,example}\n"
+                "               ...\n"
+                "intpoly: error: unrecognized arguments: --bogus\n",
+            ),
+            (
+                [],
+                "usage: intpoly [-h]\n"
+                "               {vorder,basis,expand,member,residues,classify,pseudolimit,"
+                "imageclass,ideal,representative,frisch,snf,bezout4,content,ucs,tracenorm,"
+                "idem,example}\n"
+                "               ...\n"
+                "intpoly: error: the following arguments are required: command\n",
+            ),
+        ],
+        ids=["missing-value", "invalid-int", "unrecognized", "no-command"],
+    )
+    def test_usage_errors(self, capsys, monkeypatch, argv, stderr):
+        # text mode: argparse's usage and message on stderr, byte for byte
+        # as recorded before usage errors were reported by main(); --json:
+        # the same message as one JSON object on stdout
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(capsys, *argv) == (2, "", stderr)
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (2, "")
+        message = stderr.splitlines()[-1].split(": error: ", 1)[1]
+        assert json.loads(out) == {"error": {"kind": "parse_error", "message": message}}
+
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_help(self, capsys, extra):
+        code, out, err = run_cli(capsys, "member", "-h", *extra)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: intpoly member")
+
+    @pytest.mark.parametrize(
+        "B, C",
+        [("2,1;1,1", "1;1"), ("2;1", "1,1;1,1")],
+    )
+    def test_tracenorm_rejects_other_shapes(self, capsys, B, C):
+        code, out, _ = run_cli(capsys, "tracenorm", "--B", B, "--C", C, "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "kind": "domain_error",
+                "message": "trace normalization expects two 2x2 matrices",
+            }
+        }
+
+    def test_unexpected_exception_reported(self, capsys, monkeypatch):
+        def broken(M):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr("intpoly.cli.idempotent_check", broken)
+        code, out, _ = run_cli(capsys, "idem", "--M", "1,0;0,0", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {"kind": "internal_error", "message": "ZeroDivisionError: boom"}
+        }
+        assert run_cli(capsys, "idem", "--M", "1,0;0,0") == (
+            1, "", "error: ZeroDivisionError: boom\n"
+        )
+
+    def test_residue_sweep_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "residues", "--poly", "X", "--p", "1000000007", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "domain_error"
+        assert "cap of 100000 classes" in error["message"]
 
     def test_domain_error_json_object(self, capsys):
         code, out, _ = run_cli(capsys, "bezout4", "2", "4", "6", "8", "--json")
@@ -256,3 +357,43 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestSharedParser:
+    VALID = ("vorder", "--set", "0,1,2,4", "--p", "2", "--n", "3")
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_valid_request(self, capsys):
+        expected = run_cli(capsys, *self.VALID)
+        for bad in (("vorder", "--set", "--p", "2"), ("vorder", "--p", "x", "--json")):
+            assert run_cli(capsys, *bad)[0] == 2
+            assert run_cli(capsys, *self.VALID) == expected
+        assert expected[0] == 0
+
+    def test_no_mutable_defaults(self):
+        immutable = (type(None), bool, int, str, tuple, frozenset)
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert len(sub.choices) == 18
+        for p in (parser, *sub.choices.values()):
+            for action in p._actions:
+                assert isinstance(action.default, immutable), (p.prog, action.dest)
+            assert all(isinstance(v, immutable) for v in p._defaults.values()), p.prog
+
+
+class TestGolden:
+    def test_covers_every_readme_example(self):
+        block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line)[1:] for line in block.strip().splitlines()]
+        assert [case["argv"] for case in GOLDEN] == [
+            argv + extra for argv in commands for extra in ([], ["--json"])
+        ]
+
+    def test_byte_identical(self, capsys):
+        # one process, one shared parser; the reverse pass shows that no
+        # call leaves state behind for the next
+        for case in GOLDEN + GOLDEN[::-1]:
+            code, out, _ = run_cli(capsys, *case["argv"])
+            assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -22,6 +22,7 @@ from intpoly.matrices import (
     poly_matrix,
     poly_trace,
 )
+from intpoly.poly import MAX_RESIDUE_CLASSES
 from oracles import content_oracle_unit, int_det, int_mat_mul
 
 X = Polynomial.x()
@@ -141,6 +142,11 @@ class TestUnitContent:
             unit_content_decide((Polynomial.zero(),))
         with pytest.raises(DomainError):
             unit_content_decide((X / 2,))
+
+    def test_sweep_cap(self):
+        # c = 1000003 is prime: its class sweep is over the cap
+        with pytest.raises(DomainError, match=f"cap of {MAX_RESIDUE_CLASSES} classes"):
+            unit_content_decide((Polynomial.constant(1000003), X + 1))
 
     def test_unit_certificate_reverifies(self):
         entries = (X * (X - 1) / 2, Polynomial.constant(3), X + 1)

@@ -17,7 +17,7 @@ from intpoly import (
     to_binomial_basis,
 )
 from intpoly.arith import vp_int
-from intpoly.poly import binomial_poly
+from intpoly.poly import MAX_RESIDUE_CLASSES, binomial_poly
 
 X = Polynomial.x()
 
@@ -132,6 +132,11 @@ class TestResidueImage:
     def test_precondition(self):
         with pytest.raises(DomainError):
             residue_image(X / 2, 2)
+
+    def test_sweep_cap(self):
+        # 1000003 classes, over the cap: refused before the sweep starts
+        with pytest.raises(DomainError, match=f"cap of {MAX_RESIDUE_CLASSES} classes"):
+            residue_image(X, 1000003)
 
     def test_matches_oversampled_brute_force(self):
         rng = random.Random(99)
