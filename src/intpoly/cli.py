@@ -7,6 +7,13 @@ unparseable requests.  Identical requests produce byte-identical output.
 An error is reported as {"error": {"kind", "message"}} on stdout when
 --json is given, and on stderr otherwise.  `main(argv)` may be called any
 number of times in one process; the parser is built on the first call.
+
+Each subcommand is one row of `_COMMANDS`, registered by `@_command`: its
+help, its options, a function from the request to its JSON payload, and the
+renderer of its text from that payload where the text is not the payload's
+`key: value` mirror.  `_convert` turns the option text into values, in
+declared order, before the payload function runs.  Adding a subcommand is
+one such row and a case in tests/golden_cli.json.
 """
 from __future__ import annotations
 
@@ -14,19 +21,16 @@ import argparse
 import functools
 import json
 import sys
+from typing import NamedTuple
 
 from .arith import DomainError, InputParseError, parse_rational
-from .example_lab import (
-    ExampleCertificate,
-    bounded_search,
-    verify_known_solution,
-)
+from .example_lab import ExampleCertificate, bounded_search, verify_known_solution
 from .matrices import (
     idempotent_check,
     poly_det2,
     poly_mat_mul,
     poly_trace,
-    require_2x2_pair,
+    require_2x2,
     snf_with_transforms,
     strong_bezout_z,
     trace_combination_search,
@@ -35,7 +39,7 @@ from .matrices import (
     ucs_pair_check,
     unit_content_decide,
 )
-from .poly import Polynomial, parse_polynomial, residue_image
+from .poly import parse_polynomial, residue_image
 from .sequences import SeqWindow, classify_window, image_window_classify, is_pseudo_limit
 from .spectrum import (
     ideal_membership,
@@ -53,352 +57,401 @@ from .vorder import (
     v_ordering,
 )
 
-
-def _parse_input(builder):
-    """Run an input-construction callable; invariant violations there are
-    request errors (exit 2), not domain errors."""
-    try:
-        return builder()
-    except (DomainError, ValueError) as exc:
-        raise InputParseError(str(exc)) from None
+# -- option values ----------------------------------------------------------
 
 
 def _parse_points(text: str) -> tuple:
     return tuple(parse_rational(s) for s in text.split(","))
 
 
-def _parse_set(args) -> SubsetDescriptor:
-    if getattr(args, "all", False) and getattr(args, "set", None):
-        raise InputParseError("--set and --all are mutually exclusive")
-    if getattr(args, "all", False):
-        return ALL_INTEGERS
-    if getattr(args, "set", None):
-        return _parse_input(lambda: SubsetDescriptor.finite(_parse_points(args.set)))
-    raise InputParseError("one of --set or --all is required")
+def _parse_polys(text: str) -> tuple:
+    return tuple(parse_polynomial(t) for t in text.split(";"))
 
 
-def _parse_set_default_all(args) -> SubsetDescriptor:
-    if getattr(args, "set", None):
-        return _parse_input(lambda: SubsetDescriptor.finite(_parse_points(args.set)))
-    return ALL_INTEGERS
-
-
-def _parse_poly(text: str) -> Polynomial:
-    return parse_polynomial(text)
-
-
-def _parse_poly_matrix(text: str) -> tuple:
-    rows = []
-    for row_text in text.split(";"):
-        rows.append(tuple(parse_polynomial(cell) for cell in row_text.split(",")))
-    if len({len(r) for r in rows}) != 1:
-        raise InputParseError("matrix rows must have equal length")
-    return tuple(rows)
-
-
-def _parse_int_matrix(text: str) -> tuple:
-    try:
-        rows = tuple(
-            tuple(int(cell) for cell in row_text.split(","))
-            for row_text in text.split(";")
-        )
-    except ValueError as exc:
-        raise InputParseError(f"bad integer matrix: {exc}") from None
+def _parse_matrix(text: str, parse_cell) -> tuple:
+    rows = tuple(tuple(parse_cell(c) for c in row.split(",")) for row in text.split(";"))
     if len({len(r) for r in rows}) != 1:
         raise InputParseError("matrix rows must have equal length")
     return rows
 
 
-def _poly_rows(M) -> list:
-    return [[str(e) for e in row] for row in M]
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputParseError(f"bad integer matrix: {exc}") from None
 
 
-# -- subcommand handlers --------------------------------------------------------
-# each returns (payload_dict, human_lines)
+def _parse_set(args) -> SubsetDescriptor:
+    """The set --set and --all name; a subcommand without --all reads a
+    missing --set as all integers."""
+    every = getattr(args, "all", None)
+    if every and args.set:
+        raise InputParseError("--set and --all are mutually exclusive")
+    if args.set:
+        return SubsetDescriptor.finite(_parse_points(args.set))
+    if every is False:
+        raise InputParseError("one of --set or --all is required")
+    return ALL_INTEGERS
 
 
-def cmd_vorder(args):
-    E = _parse_set(args)
-    n = args.n if args.n is not None else (len(E.points) - 1 if E.is_finite else None)
+def _read_certificate(args):
+    """The certificate `example verify --stdin` reads; None otherwise."""
+    if args.stdin and args.action == "verify":
+        return ExampleCertificate.from_json(json.loads(sys.stdin.read()))
+    return None
+
+
+def _opt(flag: str, convert=None, **kwargs) -> tuple:
+    """An option: its flag, its value as a function of the request, its add_argument keywords."""
+    return flag, convert, kwargs
+
+
+_MATRIX = "rows ;-separated, entries ,-separated"
+_POINTS = "comma-separated points"
+_P = _opt("--p", type=int, required=True)
+_N = _opt("--n", type=int, help="last index of the ordering")
+_POLY = _opt("--poly", lambda a: parse_polynomial(a.poly), required=True)
+_SET = _opt("--set", _parse_set, help=_POINTS)
+_ALL = _opt("--all", action="store_true", help="the set of all integers")
+_SEQ = _opt("--seq", lambda a: SeqWindow(a.p, _parse_points(a.seq)), required=True, help=_POINTS)
+_IDEAL = _opt(
+    "--ideal", lambda a: parse_ideal(a.ideal), required=True,
+    help="pq:|max:|comp:|seq:|iem: spec",
+)
+_B = _opt("--B", lambda a: _parse_matrix(a.B, parse_polynomial), required=True, help=_MATRIX)
+_C = _opt("--C", lambda a: _parse_matrix(a.C, parse_polynomial), required=True, help=_MATRIX)
+
+
+def _convert(args, options) -> None:
+    """Replace the text of each option by its value, in declared order.  A
+    value that is malformed or breaks an invariant of its type makes the
+    request unparseable (exit 2), not a domain error."""
+    try:
+        for flag, convert, _ in options:
+            if convert is not None:
+                setattr(args, flag.lstrip("-"), convert(args))
+    except (DomainError, ValueError) as exc:
+        raise InputParseError(str(exc)) from None
+
+
+# -- text from payloads -----------------------------------------------------
+
+
+def _word(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+def _mirror(payload: dict, args) -> list:
+    """One `key: value` line per payload key, in payload order."""
+    return [f"{key.replace('_', ' ')}: {_word(value)}" for key, value in payload.items()]
+
+
+def _rows(matrix) -> str:
+    return "; ".join(",".join(map(str, row)) for row in matrix)
+
+
+def _certificate_lines(cert: dict) -> list:
+    names = ("beta", "gamma", "f", "g", "u", "alpha", "delta")
+    lines = [f"{name:<5} = {cert[name]}" for name in names]
+    lines[3] += f" (sign {cert['sign']:+d})"
+    return lines + [f"check {name}: {_word(ok)}" for name, ok in cert["checks"].items()]
+
+
+# -- the subcommands --------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    help: str
+    options: tuple
+    payload: object  # the converted request -> its JSON payload
+    render: object  # (payload, request) -> the text lines
+
+
+_COMMANDS: dict = {}
+
+
+def _command(name: str, help: str, *options, render=_mirror):
+    """Register the decorated payload function as subcommand `name`.  It and
+    `render` call the library through this module's globals at call time, so
+    a function replaced here (traced, or patched in a test) is the one used."""
+
+    def register(payload):
+        _COMMANDS[name] = _Command(help, options, payload, render)
+        return payload
+
+    return register
+
+
+def _last_index(a, otherwise):
+    """--n, else the last index of a finite --set, else `otherwise`."""
+    if a.n is not None:
+        return a.n
+    return len(a.set.points) - 1 if a.set.is_finite else otherwise
+
+
+@_command("vorder", "greedy ordering with step valuations", _SET, _ALL, _P, _N)
+def _vorder(a):
+    n = _last_index(a, None)
     if n is None:
         raise InputParseError("--n is required with --all")
-    vord = v_ordering(E, n, args.p)
-    payload = {"points": [str(x) for x in vord.points], "w": list(vord.w)}
-    lines = [
-        "points: " + ", ".join(str(x) for x in vord.points),
-        "w: " + ", ".join(str(v) for v in vord.w),
-    ]
-    return payload, lines
+    vord = v_ordering(a.set, n, a.p)
+    return {"points": [str(x) for x in vord.points], "w": list(vord.w)}
 
 
-def cmd_basis(args):
-    E = _parse_set(args)
-    n = args.n if args.n is not None else (len(E.points) - 1 if E.is_finite else args.k)
-    vord = v_ordering(E, n, args.p)
-    fk = regular_basis(vord, args.k)
-    return {"k": args.k, "basis": str(fk)}, [f"f_{args.k} = {fk}"]
+@_command(
+    "basis", "interpolation basis polynomial f_k", _SET, _ALL, _P, _N,
+    _opt("--k", type=int, required=True),
+    render=lambda p, a: [f"f_{p['k']} = {p['basis']}"],
+)
+def _basis(a):
+    fk = regular_basis(v_ordering(a.set, _last_index(a, a.k), a.p), a.k)
+    return {"k": a.k, "basis": str(fk)}
 
 
-def cmd_expand(args):
-    f = _parse_input(lambda: _parse_poly(args.poly))
-    E = _parse_set(args)
-    n = args.n if args.n is not None else (
-        len(E.points) - 1 if E.is_finite else max(f.degree, 0)
-    )
-    vord = v_ordering(E, n, args.p)
-    coeffs = expand_in_basis(f, vord)
-    payload = {
-        "points": [str(x) for x in vord.points],
-        "coefficients": [str(c) for c in coeffs],
-    }
-    return payload, ["c: " + ", ".join(str(c) for c in coeffs)]
+@_command(
+    "expand", "expansion coefficients in the basis", _POLY, _SET, _ALL, _P, _N,
+    render=lambda p, a: ["c: " + _word(p["coefficients"])],
+)
+def _expand(a):
+    vord = v_ordering(a.set, _last_index(a, max(a.poly.degree, 0)), a.p)
+    coeffs = expand_in_basis(a.poly, vord)
+    return {"points": [str(x) for x in vord.points], "coefficients": [str(c) for c in coeffs]}
 
 
-def cmd_member(args):
-    f = _parse_input(lambda: _parse_poly(args.poly))
-    E = _parse_set(args)
-    target = (
-        MembershipTarget.VALUATION_RING if args.target == "v" else MembershipTarget.MAXIMAL_IDEAL
-    )
-    result = int_membership(f, E, args.p, target)
-    return {"member": result}, [f"member: {str(result).lower()}"]
+_TARGETS = {"v": MembershipTarget.VALUATION_RING, "m": MembershipTarget.MAXIMAL_IDEAL}
 
 
-def cmd_residues(args):
-    f = _parse_input(lambda: _parse_poly(args.poly))
-    image = sorted(residue_image(f, args.p))
-    return {"residues": image}, ["residues mod p: " + ", ".join(map(str, image))]
+@_command(
+    "member", "integer-valued membership at one prime", _POLY, _SET, _ALL, _P,
+    _opt("--target", choices=("v", "m"), default="v"),
+)
+def _member(a):
+    return {"member": int_membership(a.poly, a.set, a.p, _TARGETS[a.target])}
 
 
-def cmd_classify(args):
-    window = _parse_input(lambda: SeqWindow(args.p, _parse_points(args.seq)))
-    cls = classify_window(window)
-    gaps = window.gap_valuations()
-    payload = {"class": cls.value, "gapValuations": [str(v) for v in gaps]}
-    return payload, [
-        f"class: {cls.value}",
-        "gap valuations: " + ", ".join(str(v) for v in gaps),
-    ]
+@_command(
+    "residues", "value set mod p over the integers", _POLY, _P,
+    render=lambda p, a: ["residues mod p: " + _word(p["residues"])],
+)
+def _residues(a):
+    return {"residues": sorted(residue_image(a.poly, a.p))}
 
 
-def cmd_pseudolimit(args):
-    window = _parse_input(lambda: SeqWindow(args.p, _parse_points(args.seq)))
-    x = _parse_input(lambda: parse_rational(args.x))
-    result = is_pseudo_limit(x, window)
-    return {"pseudo_limit": result}, [f"pseudo-limit: {str(result).lower()}"]
+@_command(
+    "classify", "classify a sequence window", _P, _SEQ,
+    render=lambda p, a: [f"class: {p['class']}", "gap valuations: " + _word(p["gapValuations"])],
+)
+def _classify(a):
+    gaps = a.seq.gap_valuations()
+    return {"class": classify_window(a.seq).value, "gapValuations": [str(v) for v in gaps]}
 
 
-def cmd_imageclass(args):
-    window = _parse_input(lambda: SeqWindow(args.p, _parse_points(args.seq)))
-    f = _parse_input(lambda: _parse_poly(args.poly))
-    start, cls, dichotomy = image_window_classify(f, window)
-    payload = {
-        "suffix_start": start,
-        "class": cls.value,
-        "dichotomy": dichotomy.value,
-    }
-    return payload, [
-        f"suffix start: {start}",
-        f"class: {cls.value}",
-        f"dichotomy: {dichotomy.value}",
-    ]
+@_command(
+    "pseudolimit", "pseudo-limit test", _P, _SEQ,
+    _opt("--x", lambda a: parse_rational(a.x), required=True),
+    render=lambda p, a: [f"pseudo-limit: {_word(p['pseudo_limit'])}"],
+)
+def _pseudolimit(a):
+    return {"pseudo_limit": is_pseudo_limit(a.x, a.seq)}
 
 
-def cmd_ideal(args):
-    if args.action != "member":
-        raise InputParseError(f"unknown ideal action {args.action!r}")
-    ideal = _parse_input(lambda: parse_ideal(args.ideal))
-    f = _parse_input(lambda: _parse_poly(args.poly))
-    E = _parse_set_default_all(args)
-    verdict = ideal_membership(f, ideal, E)
+@_command("imageclass", "classify the image of a window", _P, _SEQ, _POLY)
+def _imageclass(a):
+    start, cls, dichotomy = image_window_classify(a.poly, a.seq)
+    return {"suffix_start": start, "class": cls.value, "dichotomy": dichotomy.value}
+
+
+def _render_ideal(p, a):
+    reason = f" ({p['reason']})" if "reason" in p else ""
+    return [f"membership: {p['verdict']}{reason}"]
+
+
+@_command(
+    "ideal", "ideal membership over --set or all integers",
+    _opt("action", choices=("member",)), _IDEAL, _POLY, _SET,
+    render=_render_ideal,
+)
+def _ideal(a):
+    verdict = ideal_membership(a.poly, a.ideal, a.set)
     payload = {"verdict": verdict.value}
     if verdict.reason:
         payload["reason"] = verdict.reason
-    return payload, [f"membership: {verdict}"]
+    return payload
 
 
-def cmd_representative(args):
-    ideal = _parse_input(lambda: parse_ideal(args.ideal))
-    f = _parse_input(lambda: _parse_poly(args.poly))
-    E = _parse_set_default_all(args)
-    s = residue_representative(f, ideal, E)
-    if s is None:
-        return {"verdict": "unknown"}, ["representative: unknown"]
-    return {"verdict": "yes", "residue": s}, [f"representative: {s}"]
+@_command(
+    "representative", "residue representative over --set or all integers",
+    _IDEAL, _POLY, _SET,
+    render=lambda p, a: [f"representative: {p.get('residue', 'unknown')}"],
+)
+def _representative(a):
+    s = residue_representative(a.poly, a.ideal, a.set)
+    return {"verdict": "unknown"} if s is None else {"verdict": "yes", "residue": s}
 
 
-def cmd_frisch(args):
-    f = _parse_input(lambda: _parse_poly(args.poly))
-    residues, in_ideal = separation_check(f, args.p)
-    payload = {
-        "residues": sorted(residues),
-        "product_in_ideal": in_ideal,
-    }
-    return payload, [
-        "residues: " + ", ".join(map(str, sorted(residues))),
-        f"separation product in maximal-ideal layer: {str(in_ideal).lower()}",
+def _render_frisch(p, a):
+    return [
+        "residues: " + _word(p["residues"]),
+        "separation product in maximal-ideal layer: " + _word(p["product_in_ideal"]),
     ]
 
 
-def cmd_snf(args):
-    A = _parse_input(lambda: _parse_int_matrix(args.matrix))
-    result = snf_with_transforms(A)
-    payload = {
-        "U": [list(r) for r in result.U],
-        "S": [list(r) for r in result.S],
-        "W": [list(r) for r in result.W],
-        "diagonal": list(result.diagonal),
-    }
-    lines = []
-    for name in ("U", "S", "W"):
-        rows = getattr(result, name)
-        lines.append(name + ": " + "; ".join(",".join(map(str, r)) for r in rows))
-    return payload, lines
+@_command("frisch", "residue separation product check", _POLY, _P, render=_render_frisch)
+def _frisch(a):
+    residues, in_ideal = separation_check(a.poly, a.p)
+    return {"residues": sorted(residues), "product_in_ideal": in_ideal}
 
 
-def cmd_bezout4(args):
-    a, b, c, d = args.a, args.b, args.c, args.d
-    alpha, beta, gamma, delta = strong_bezout_z(a, b, c, d)
-    payload = {
+@_command(
+    "snf", "Smith normal form with transforms",
+    _opt("--matrix", lambda a: _parse_matrix(a.matrix, _parse_int), required=True, help=_MATRIX),
+    render=lambda p, a: [f"{name}: {_rows(p[name])}" for name in "USW"],
+)
+def _snf(a):
+    result = snf_with_transforms(a.matrix)
+    payload = {name: [list(r) for r in getattr(result, name)] for name in "USW"}
+    payload["diagonal"] = list(result.diagonal)
+    return payload
+
+
+def _render_bezout4(p, a):
+    alpha, beta, gamma, delta = p["alpha"], p["beta"], p["gamma"], p["delta"]
+    return [
+        f"alpha={alpha} beta={beta} gamma={gamma} delta={delta}",
+        f"{a.a}*({alpha}) + {a.b}*({beta}) + {a.c}*({gamma}) + {a.d}*({delta}) = 1",
+        f"alpha*delta = beta*gamma = {alpha * delta}",
+    ]
+
+
+@_command(
+    "bezout4", "four-term strong Bezout relation over Z",
+    *(_opt(name, type=int) for name in "abcd"),
+    render=_render_bezout4,
+)
+def _bezout4(a):
+    alpha, beta, gamma, delta = strong_bezout_z(a.a, a.b, a.c, a.d)
+    return {
         "alpha": alpha,
         "beta": beta,
         "gamma": gamma,
         "delta": delta,
-        "unit_identity": a * alpha + b * beta + c * gamma + d * delta == 1,
+        "unit_identity": a.a * alpha + a.b * beta + a.c * gamma + a.d * delta == 1,
         "rank_one_identity": alpha * delta == beta * gamma,
     }
-    lines = [
-        f"alpha={alpha} beta={beta} gamma={gamma} delta={delta}",
-        f"{a}*({alpha}) + {b}*({beta}) + {c}*({gamma}) + {d}*({delta}) = 1",
-        f"alpha*delta = beta*gamma = {alpha * delta}",
+
+
+def _render_content(p, a):
+    if p["unit"]:
+        return [f"content: unit (c = {p['c']})"]
+    w = p["witness"]
+    if w["kind"] == "pq":
+        return [f"content: non-unit (common divisor {w['gcd']})"]
+    return [
+        f"content: non-unit (all entries vanish mod {w['p']} on the class "
+        f"{w['residue']} mod {w['p']}^{w['modulus_exp']})"
     ]
-    return payload, lines
 
 
-def cmd_content(args):
-    entries = _parse_input(
-        lambda: tuple(parse_polynomial(t) for t in args.entries.split(";"))
-    )
-    verdict = unit_content_decide(entries)
-    payload = verdict.to_json()
-    if verdict.unit:
-        lines = [f"content: unit (c = {verdict.c})"]
-    elif verdict.witness_gcd is not None:
-        lines = [f"content: non-unit (common divisor {verdict.witness_gcd})"]
-    else:
-        lines = [
-            "content: non-unit (all entries vanish mod "
-            f"{verdict.witness_prime} on the class "
-            f"{verdict.witness_residue} mod "
-            f"{verdict.witness_prime}^{verdict.witness_modulus_exp})"
-        ]
-    return payload, lines
+@_command(
+    "content", "unit-content decision",
+    _opt("--entries", lambda a: _parse_polys(a.entries), required=True,
+         help=";-separated polynomials"),
+    render=_render_content,
+)
+def _content(a):
+    return unit_content_decide(a.entries).to_json()
 
 
-def cmd_ucs(args):
-    B = _parse_input(lambda: _parse_poly_matrix(args.B))
-    C = _parse_input(lambda: _parse_poly_matrix(args.C))
-    report = ucs_pair_check(B, C)
-    payload = report.to_json()
-    lines = [
-        f"cont(BC) unit: {str(report.content_unit).lower()}",
-        f"det(BC) zero: {str(report.det_zero).lower()}",
-        f"B qualifies: {str(report.qualifies).lower()}",
+def _render_ucs(p, a):
+    return [
+        f"cont(BC) unit: {_word(p['content_unit'])}",
+        f"det(BC) zero: {_word(p['det_zero'])}",
+        f"B qualifies: {_word(p['qualification']['qualifies'])}",
     ]
-    return payload, lines
 
 
-def cmd_tracenorm(args):
-    B = _parse_input(lambda: _parse_poly_matrix(args.B))
-    C = _parse_input(lambda: _parse_poly_matrix(args.C))
-    require_2x2_pair(B, C, "trace normalization")
-    if args.comb:
-        comb = _parse_input(
-            lambda: tuple(parse_polynomial(t) for t in args.comb.split(";"))
-        )
-        if len(comb) != 4:
-            raise InputParseError("--comb needs exactly four ;-separated entries")
-    else:
+@_command("ucs", "pair check for the 2x2 matrix criterion", _B, _C, render=_render_ucs)
+def _ucs(a):
+    return ucs_pair_check(a.B, a.C).to_json()
+
+
+@_command(
+    "tracenorm", "normalize a pair to an idempotent", _B, _C,
+    _opt("--comb", lambda a: a.comb and _parse_polys(a.comb),
+         help="four ;-separated combination polynomials"),
+    render=lambda p, a: ["C0: " + _rows(p["C0"])],
+)
+def _tracenorm(a):
+    B, C, comb = a.B, a.C, a.comb
+    require_2x2("trace normalization", B, C)
+    if comb and len(comb) != 4:
+        raise InputParseError("--comb needs exactly four ;-separated entries")
+    if not comb:
         M = poly_mat_mul(B, C)
         if all(e.is_integer_constant for row in M for e in row):
-            ints = tuple(
-                tuple(int(e.coefficient(0)) for e in row) for row in M
-            )
-            comb = trace_combination_z(ints)
+            comb = trace_combination_z(tuple(tuple(int(e.coefficient(0)) for e in r) for r in M))
         else:
             comb = trace_combination_search(M)
             if comb is None:
-                raise DomainError(
-                    "no combination found within the bounded search; pass --comb"
-                )
+                raise DomainError("no combination found within the bounded search; pass --comb")
     C0 = trace_normalize(B, C, comb)
     product = poly_mat_mul(B, C0)
-    payload = {
-        "C0": _poly_rows(C0),
-        "BC0": _poly_rows(product),
+    return {
+        "C0": [[str(e) for e in row] for row in C0],
+        "BC0": [[str(e) for e in row] for row in product],
         "trace": str(poly_trace(product)),
         "det_C0": str(poly_det2(C0)),
         "idempotent": True,
     }
-    lines = ["C0: " + "; ".join(",".join(row) for row in _poly_rows(C0))]
-    return payload, lines
 
 
-def cmd_idem(args):
-    M = _parse_input(lambda: _parse_poly_matrix(args.M))
-    idem, nontrivial = idempotent_check(M)
-    payload = {"idempotent": idem, "nontrivial": nontrivial}
-    return payload, [
-        f"idempotent: {str(idem).lower()}",
-        f"nontrivial: {str(nontrivial).lower()}",
-    ]
+@_command(
+    "idem", "idempotency check",
+    _opt("--M", lambda a: _parse_matrix(a.M, parse_polynomial), required=True, help=_MATRIX),
+)
+def _idem(a):
+    idem, nontrivial = idempotent_check(a.M)
+    return {"idempotent": idem, "nontrivial": nontrivial}
 
 
-def _certificate_lines(cert: ExampleCertificate) -> list:
-    lines = [
-        f"beta  = {cert.beta}",
-        f"gamma = {cert.gamma}",
-        f"f     = {cert.f}",
-        f"g     = {cert.g} (sign {cert.sign:+d})",
-        f"u     = {cert.u}",
-        f"alpha = {cert.alpha}",
-        f"delta = {cert.delta}",
-    ]
-    for name, ok in cert.checks.items():
-        lines.append(f"check {name}: {str(ok).lower()}")
+def _render_example(p, a):
+    if a.action == "search":
+        return [f"solutions found: {p['count']}"] + [
+            f"  beta={c['beta']} gamma={c['gamma']} sign={c['sign']:+d}"
+            for c in p["certificates"]
+        ]
+    lines = _certificate_lines(p["certificate"])
+    if "matches_input" in p:
+        lines.append(f"matches input: {_word(p['matches_input'])}")
     return lines
 
 
-def cmd_example(args):
-    if args.action == "verify":
-        if args.stdin:
-            data = _parse_input(lambda: json.loads(sys.stdin.read()))
-            supplied = _parse_input(lambda: ExampleCertificate.from_json(data))
-            cert = supplied.re_verify()
-            recomputed = cert.to_json()
-            given = supplied.to_json()
-            fields = ("beta", "gamma", "f", "g", "u", "alpha", "delta", "sign")
-            matches = all(recomputed[k] == given[k] for k in fields) and all(
-                given["checks"].get(name) == ok
-                for name, ok in recomputed["checks"].items()
-            )
-            payload = {
-                "certificate": recomputed,
-                "matches_input": matches,
-            }
-            return payload, _certificate_lines(cert) + [
-                f"matches input: {str(matches).lower()}"
-            ]
-        cert = verify_known_solution()
-        return {"certificate": cert.to_json()}, _certificate_lines(cert)
-    if args.action == "search":
-        certs = bounded_search(args.max_deg, args.max_height, args.budget)
-        payload = {"count": len(certs), "certificates": [c.to_json() for c in certs]}
-        lines = [f"solutions found: {len(certs)}"]
-        for c in certs:
-            lines.append(f"  beta={c.beta} gamma={c.gamma} sign={c.sign:+d}")
-        return payload, lines
-    raise InputParseError(f"unknown example action {args.action!r}")
+@_command(
+    "example", "the worked strong-Bezout instance",
+    _opt("action", choices=("verify", "search")),
+    _opt("--stdin", _read_certificate, action="store_true",
+         help="re-verify a JSON certificate"),
+    _opt("--max-deg", type=int, default=1),
+    _opt("--max-height", type=int, default=3),
+    _opt("--budget", type=int, default=10000),
+    render=_render_example,
+)
+def _example(a):
+    if a.action == "search":
+        certs = bounded_search(a.max_deg, a.max_height, a.budget)
+        return {"count": len(certs), "certificates": [c.to_json() for c in certs]}
+    if a.stdin is None:
+        return {"certificate": verify_known_solution().to_json()}
+    recomputed, given = a.stdin.re_verify().to_json(), a.stdin.to_json()
+    matches = all(given[k] == v for k, v in recomputed.items() if k != "checks") and all(
+        given["checks"].get(name) == ok for name, ok in recomputed["checks"].items()
+    )
+    return {"certificate": recomputed, "matches_input": matches}
 
 
 # -- parser -----------------------------------------------------------------
@@ -465,103 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with integer-valued polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        return p
-
-    p = add("vorder", help="greedy ordering with step valuations")
-    p.add_argument("--set", help="comma-separated points")
-    p.add_argument("--all", action="store_true", help="the set of all integers")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, help="last index of the ordering")
-
-    p = add("basis", help="interpolation basis polynomial f_k")
-    p.add_argument("--set", help="comma-separated points")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("expand", help="expansion coefficients in the basis")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--set", help="comma-separated points")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int)
-
-    p = add("member", help="integer-valued membership at one prime")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--set", help="comma-separated points")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--target", choices=("v", "m"), default="v")
-
-    p = add("residues", help="value set mod p over the integers")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("classify", help="classify a sequence window")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--seq", required=True, help="comma-separated points")
-
-    p = add("pseudolimit", help="pseudo-limit test")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--x", required=True)
-
-    p = add("imageclass", help="classify the image of a window")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--poly", required=True)
-
-    p = add("ideal", help="ideal membership")
-    p.add_argument("action", choices=("member",))
-    p.add_argument("--ideal", required=True, help="pq:|max:|comp:|seq:|iem: spec")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--set", help="finite set (default: all integers)")
-
-    p = add("representative", help="residue representative")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--set")
-
-    p = add("frisch", help="residue separation product check")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("snf", help="Smith normal form with transforms")
-    p.add_argument("--matrix", required=True, help="rows ;-separated, entries ,-separated")
-
-    p = add("bezout4", help="four-term strong Bezout relation over Z")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("d", type=int)
-
-    p = add("content", help="unit-content decision")
-    p.add_argument("--entries", required=True, help=";-separated polynomials")
-
-    p = add("ucs", help="pair check for the 2x2 matrix criterion")
-    p.add_argument("--B", required=True)
-    p.add_argument("--C", required=True)
-
-    p = add("tracenorm", help="normalize a pair to an idempotent")
-    p.add_argument("--B", required=True)
-    p.add_argument("--C", required=True)
-    p.add_argument("--comb", help="four ;-separated combination polynomials")
-
-    p = add("idem", help="idempotency check")
-    p.add_argument("--M", required=True)
-
-    p = add("example", help="the worked strong-Bezout instance")
-    p.add_argument("action", choices=("verify", "search"))
-    p.add_argument("--stdin", action="store_true", help="re-verify a JSON certificate")
-    p.add_argument("--max-deg", type=int, default=1)
-    p.add_argument("--max-height", type=int, default=3)
-    p.add_argument("--budget", type=int, default=10000)
-
+        for flag, _, kwargs in command.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -578,11 +539,14 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:  # -h printed the help
         return exc.code if isinstance(exc.code, int) else 2
-    # looked up on each call, not stored in the shared parser, so that a
-    # handler replaced on this module (traced, or patched in a test) is used
-    handler = globals()[f"cmd_{args.command}"]
+    command = _COMMANDS[args.command]
     try:
-        payload, lines = handler(args)
+        _convert(args, command.options)
+        payload = command.payload(args)
+        if args.json:
+            lines = [json.dumps(payload, sort_keys=True)]
+        else:
+            lines = command.render(payload, args)
     except InputParseError as exc:
         _emit_error(args.json, "parse_error", str(exc))
         return 2
@@ -592,11 +556,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault of the program, reported, not raised
         _emit_error(args.json, "internal_error", f"{type(exc).__name__}: {exc}")
         return 1
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    print("\n".join(lines))
     return 0
 
 

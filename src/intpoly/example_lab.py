@@ -8,7 +8,7 @@ recomputed from scratch, so certificates can be re-verified independently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .arith import DomainError
@@ -63,6 +63,10 @@ CHECK_NAMES = (
 )
 
 
+# the polynomial fields of a certificate, which its JSON record holds as text
+_POLY_FIELDS = ("beta", "gamma", "f", "g", "u", "alpha", "delta")
+
+
 @dataclass(frozen=True)
 class ExampleCertificate:
     """A full solution record: 2*alpha + (X+1)*beta + X*gamma + 3*delta == 1
@@ -84,28 +88,14 @@ class ExampleCertificate:
         return all(self.checks.values())
 
     def to_json(self) -> dict:
-        return {
-            "beta": str(self.beta),
-            "gamma": str(self.gamma),
-            "f": str(self.f),
-            "g": str(self.g),
-            "u": str(self.u),
-            "alpha": str(self.alpha),
-            "delta": str(self.delta),
-            "sign": self.sign,
-            "checks": dict(self.checks),
-        }
+        data = {name: str(getattr(self, name)) for name in _POLY_FIELDS}
+        data.update(sign=self.sign, checks=dict(self.checks))
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "ExampleCertificate":
         return cls(
-            beta=parse_polynomial(data["beta"]),
-            gamma=parse_polynomial(data["gamma"]),
-            f=parse_polynomial(data["f"]),
-            g=parse_polynomial(data["g"]),
-            u=parse_polynomial(data["u"]),
-            alpha=parse_polynomial(data["alpha"]),
-            delta=parse_polynomial(data["delta"]),
+            **{name: parse_polynomial(data[name]) for name in _POLY_FIELDS},
             sign=int(data["sign"]),
             checks={k: bool(v) for k, v in data["checks"].items()},
         )
@@ -225,19 +215,7 @@ def verify_known_solution() -> ExampleCertificate:
         except SolutionFailure as exc:
             failure = exc
             continue
-        checks = dict(cert.checks)
-        checks["printed_g_agreement"] = True
-        return ExampleCertificate(
-            beta=cert.beta,
-            gamma=cert.gamma,
-            f=cert.f,
-            g=cert.g,
-            u=cert.u,
-            alpha=cert.alpha,
-            delta=cert.delta,
-            sign=cert.sign,
-            checks=checks,
-        )
+        return replace(cert, checks={**cert.checks, "printed_g_agreement": True})
     raise DomainError(f"known solution failed for both signs: {failure}")
 
 

@@ -194,10 +194,11 @@ def poly_matrix(rows) -> tuple:
     return tuple(out)
 
 
-def require_2x2_pair(B, C, what: str) -> None:
-    """Raise DomainError unless B and C (rectangular) are both 2x2."""
-    if len(B) != 2 or len(B[0]) != 2 or len(C) != 2 or len(C[0]) != 2:
-        raise DomainError(f"{what} expects two 2x2 matrices")
+def require_2x2(what: str, *matrices) -> None:
+    """Raise DomainError unless every one of the matrices is 2x2."""
+    if any([len(row) for row in M] != [2, 2] for M in matrices):
+        shape = "two 2x2 matrices" if len(matrices) == 2 else "a 2x2 matrix"
+        raise DomainError(f"{what} expects {shape}")
 
 
 def require_intpoly_matrix(M) -> tuple:
@@ -210,6 +211,9 @@ def require_intpoly_matrix(M) -> tuple:
 
 
 def poly_mat_mul(A, B) -> tuple:
+    A, B = poly_matrix(A), poly_matrix(B)
+    if len(A[0]) != len(B):
+        raise DomainError("matrix product needs as many columns in A as rows in B")
     rows, inner, cols = len(A), len(B), len(B[0])
     out = []
     for i in range(rows):
@@ -420,7 +424,7 @@ def ucs_pair_check(B, C) -> UcsReport:
     """
     B = require_intpoly_matrix(B)
     C = require_intpoly_matrix(C)
-    require_2x2_pair(B, C, "pair check")
+    require_2x2("pair check", B, C)
     M = poly_mat_mul(B, C)
     det_zero = poly_det2(M).is_zero
     entries = tuple(e for row in M for e in row)
@@ -471,6 +475,7 @@ def idempotent_check(M) -> tuple:
 def trace_combination_z(M) -> tuple:
     """(r, s, t, u) integers with r*M00 + s*M10 + t*M01 + u*M11 == 1,
     by folding the extended gcd over the four entries."""
+    require_2x2("integer combination", M)
     vals = [M[0][0], M[1][0], M[0][1], M[1][1]]
     if any(not isinstance(v, int) for v in vals):
         raise DomainError("integer combination needs an integer matrix")
@@ -499,7 +504,7 @@ def trace_normalize(B, C, comb) -> tuple:
     """
     B = require_intpoly_matrix(B)
     C = require_intpoly_matrix(C)
-    require_2x2_pair(B, C, "trace normalization")
+    require_2x2("trace normalization", B, C)
     r, s, t, u = (
         e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in comb
     )

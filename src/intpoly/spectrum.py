@@ -198,12 +198,6 @@ def _parse_fields(body: str) -> dict:
     return fields
 
 
-def _prime_of(ideal: IdealSpec) -> int | None:
-    if isinstance(ideal, PrimeAboveZero):
-        return None
-    return ideal.p
-
-
 def _require_in_ring(f: Polynomial, E: SubsetDescriptor, p: int) -> None:
     if not int_membership(f, E, p, MembershipTarget.VALUATION_RING):
         raise DomainError(
@@ -232,38 +226,51 @@ def _window_tail(ideal: MaxSequence, E: SubsetDescriptor) -> tuple:
     return pts[len(pts) - ceil(len(pts) / 2):]
 
 
+def _point_residues(f: Polynomial, ideal: IdealSpec, E: SubsetDescriptor):
+    """The residues mod p of f at the points that decide f at a maximal ideal:
+    the point a of max:, the approximation x of comp: and the window tail of
+    seq:.  None when x is too coarse to fix f(x) mod p."""
+    p = ideal.p
+    _require_in_ring(f, E, p)
+    if isinstance(ideal, MaxTrivial):
+        if not E.contains(ideal.a):
+            raise DomainError(f"point {ideal.a} does not belong to {E}")
+        points = (ideal.a,)
+    elif isinstance(ideal, MaxCompletion):
+        if ideal.x.precision < _completion_threshold(f, E, p):
+            return None
+        points = (ideal.x.value,)
+    elif isinstance(ideal, MaxSequence):
+        points = _window_tail(ideal, E)
+    else:
+        raise DomainError(f"unsupported ideal spec {ideal!r}")
+    residues = []
+    for x in points:
+        value = f(x)
+        if value.denominator % p == 0:
+            # comp: over a finite set, at an x outside it
+            raise DomainError(f"{value} has negative valuation at p={p}")
+        residues.append(_residue(value, p))
+    return residues
+
+
 def ideal_membership(
     f: Polynomial, ideal: IdealSpec, E: SubsetDescriptor = ALL_INTEGERS
 ) -> TriVerdict:
     """Three-valued membership of f in the given spectrum point over E."""
     if isinstance(ideal, PrimeAboveZero):
         return YES if ideal.q.divides(f) else NO
-
-    p = ideal.p
-    _require_in_ring(f, E, p)
-
-    if isinstance(ideal, MaxTrivial):
-        if not E.contains(ideal.a):
-            raise DomainError(f"point {ideal.a} does not belong to {E}")
-        return YES if _vp(f(ideal.a), p) >= 1 else NO
-
-    if isinstance(ideal, MaxCompletion):
-        if ideal.x.precision < _completion_threshold(f, E, p):
-            return unknown(INSUFFICIENT_PRECISION)
-        return YES if _vp(f(ideal.x.value), p) >= 1 else NO
-
-    if isinstance(ideal, MaxSequence):
-        vals = [_vp(f(x), p) for x in _window_tail(ideal, E)]
-        if all(v >= 1 for v in vals):
-            return YES
-        if all(v == 0 for v in vals):
-            return NO
-        return unknown(WINDOW_AMBIGUOUS)
-
     if isinstance(ideal, IntEM):
-        return YES if int_membership(f, E, p, MembershipTarget.MAXIMAL_IDEAL) else NO
-
-    raise DomainError(f"unsupported ideal spec {ideal!r}")
+        _require_in_ring(f, E, ideal.p)
+        return YES if int_membership(f, E, ideal.p, MembershipTarget.MAXIMAL_IDEAL) else NO
+    residues = _point_residues(f, ideal, E)
+    if residues is None:
+        return unknown(INSUFFICIENT_PRECISION)
+    if all(r == 0 for r in residues):
+        return YES
+    if all(r != 0 for r in residues):
+        return NO
+    return unknown(WINDOW_AMBIGUOUS)
 
 
 def residue_representative(
@@ -277,25 +284,10 @@ def residue_representative(
     """
     if isinstance(ideal, (PrimeAboveZero, IntEM)):
         raise DomainError("residue representatives exist only for maximal ideals")
-    p = ideal.p
-    _require_in_ring(f, E, p)
-
-    if isinstance(ideal, MaxTrivial):
-        if not E.contains(ideal.a):
-            raise DomainError(f"point {ideal.a} does not belong to {E}")
-        return padic_residue(f(ideal.a), p, 1).value
-
-    if isinstance(ideal, MaxCompletion):
-        if ideal.x.precision < _completion_threshold(f, E, p):
-            return None
-        return padic_residue(f(ideal.x.value), p, 1).value
-
-    if isinstance(ideal, MaxSequence):
-        # f - s is in the ideal iff f(x) = s mod p on the whole tail
-        residues = {_residue(f(x), p) for x in _window_tail(ideal, E)}
-        return residues.pop() if len(residues) == 1 else None
-
-    raise DomainError(f"unsupported ideal spec {ideal!r}")
+    residues = _point_residues(f, ideal, E)
+    if residues is None or len(set(residues)) != 1:
+        return None
+    return residues[0]
 
 
 def separation_check(f: Polynomial, p: int):

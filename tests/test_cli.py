@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from intpoly.cli import build_parser, main
+from intpoly.cli import _COMMANDS, build_parser, main
 
 # exit code, stdout and stderr of every README CLI example, then of one
 # parse_error and one domain_error request per subcommand that can raise
@@ -391,6 +391,9 @@ class TestGolden:
         commands = [shlex.split(line)[1:] for line in block.strip().splitlines()]
         expected = [argv + extra for argv in commands for extra in ([], ["--json"])]
         assert [case["argv"] for case in GOLDEN[: len(expected)]] == expected
+
+    def test_every_subcommand_has_a_case(self):
+        assert set(_COMMANDS) <= {case["argv"][0] for case in GOLDEN}
 
     def test_byte_identical(self, capsys, monkeypatch):
         # one process, one shared parser; the reverse pass shows that no

@@ -285,6 +285,19 @@ class TestTraceNormalize:
         with pytest.raises(DomainError):
             trace_normalize(((1, 0), (0, 1)), ((1, 0), (0, 1)), (1, 0, 0, 0))
 
+    @pytest.mark.parametrize("M", [((1,), (1,)), ((1, 0), (1,)), ((1, 0), (0, 1), (1, 1))])
+    def test_integer_combination_rejects_other_shapes(self, M):
+        with pytest.raises(DomainError, match="integer combination expects a 2x2 matrix"):
+            trace_combination_z(M)
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [(((1,), (X,)), ((1, 0), (0, 1))), (((1, 0), (0, 1)), ((1, 0), (1,)))],
+    )
+    def test_product_rejects_mismatched_shapes(self, A, B):
+        with pytest.raises(DomainError):
+            poly_mat_mul(A, B)
+
     def test_integer_pipeline(self):
         rng = random.Random(75)
         done = 0

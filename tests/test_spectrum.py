@@ -90,6 +90,15 @@ class TestMembership:
         assert below.reason == "insufficient_precision"
         assert ideal_membership(f, MaxCompletion(padic_residue(0, 2, 3)), E).is_yes
 
+    def test_max_completion_without_a_residue(self):
+        # f(2) = 1/2 has no residue mod 2, so membership and the
+        # representative both refuse the point instead of answering
+        f = (X ** 2 - X) / 4
+        E, x = SubsetDescriptor.finite((0, 1)), MaxCompletion(padic_residue(2, 2, 3))
+        for decide in (ideal_membership, residue_representative):
+            with pytest.raises(DomainError, match="negative valuation"):
+                decide(f, x, E)
+
     def test_max_sequence(self):
         w = SeqWindow(2, (1, 3, 7, 15, 31, 63))
         # x_n = 2^(n+1) - 1 -> pseudo-limit -1; f = X + 1 lands in the ideal
