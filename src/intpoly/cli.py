@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import NamedTuple
 
 from .arith import DomainError, InputParseError, parse_rational
 from .example_lab import ExampleCertificate, bounded_search, verify_known_solution
@@ -165,23 +164,19 @@ def _certificate_lines(cert: dict) -> list:
 # -- the subcommands --------------------------------------------------------
 
 
-class _Command(NamedTuple):
-    help: str
-    options: tuple
-    payload: object  # the converted request -> its JSON payload
-    render: object  # (payload, request) -> the text lines
-
-
+# name -> (summary, options, payload function, renderer): the payload function
+# maps the converted request to its JSON payload, the renderer maps
+# (payload, request) to the text lines
 _COMMANDS: dict = {}
 
 
-def _command(name: str, help: str, *options, render=_mirror):
+def _command(name: str, summary: str, *options, render=_mirror):
     """Register the decorated payload function as subcommand `name`.  It and
     `render` call the library through this module's globals at call time, so
     a function replaced here (traced, or patched in a test) is the one used."""
 
     def register(payload):
-        _COMMANDS[name] = _Command(help, options, payload, render)
+        _COMMANDS[name] = (summary, options, payload, render)
         return payload
 
     return register
@@ -518,10 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with integer-valued polynomials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+    for name, (summary, options, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        for flag, _, kwargs in command.options:
+        for flag, _, kwargs in options:
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -539,14 +534,14 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:  # -h printed the help
         return exc.code if isinstance(exc.code, int) else 2
-    command = _COMMANDS[args.command]
+    _, options, payload_of, render = _COMMANDS[args.command]
     try:
-        _convert(args, command.options)
-        payload = command.payload(args)
+        _convert(args, options)
+        payload = payload_of(args)
         if args.json:
             lines = [json.dumps(payload, sort_keys=True)]
         else:
-            lines = command.render(payload, args)
+            lines = render(payload, args)
     except InputParseError as exc:
         _emit_error(args.json, "parse_error", str(exc))
         return 2
