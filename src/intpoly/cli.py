@@ -218,15 +218,12 @@ def _expand(a):
     return {"points": [str(x) for x in vord.points], "coefficients": [str(c) for c in coeffs]}
 
 
-_TARGETS = {"v": MembershipTarget.VALUATION_RING, "m": MembershipTarget.MAXIMAL_IDEAL}
-
-
 @_command(
     "member", "integer-valued membership at one prime", _POLY, _SET, _ALL, _P,
     _opt("--target", choices=("v", "m"), default="v"),
 )
 def _member(a):
-    return {"member": int_membership(a.poly, a.set, a.p, _TARGETS[a.target])}
+    return {"member": int_membership(a.poly, a.set, a.p, MembershipTarget(a.target))}
 
 
 @_command(

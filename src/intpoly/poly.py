@@ -17,6 +17,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from .arith import (
+    INF,
     DomainError,
     InputParseError,
     _residue,
@@ -473,10 +474,11 @@ def residue_period_exp(f: Polynomial, p: int) -> int:
     return min(1 + vp_int(f.denominator_lcm(), p), digits)
 
 
-def p_integral_binomial(f: Polynomial, p: int) -> bool:
-    """All binomial coefficients of f have v_p >= 0."""
-    require_prime(p)
-    return all(_vp(c, p) >= 0 for c in to_binomial_basis(f).coeffs)
+def _binomial_valuation(f: Polynomial, p: int):
+    """The least v_p of f on Z, INF for f = 0: min_k v_p(c_k) over the
+    binomial coefficients c_k of f, which span the integer-valued
+    polynomials (Polya).  The prime is not checked."""
+    return min((_vp(c, p) for c in to_binomial_basis(f).coeffs), default=INF)
 
 
 # the most residue classes one sweep may visit: at about 10 us a class, a
@@ -501,7 +503,8 @@ def residue_image(f: Polynomial, p: int) -> frozenset:
     Requires every binomial coefficient of f to be p-integral; the period
     is p^residue_period_exp(f, p), at most MAX_RESIDUE_CLASSES.
     """
-    if not p_integral_binomial(f, p):
+    require_prime(p)
+    if _binomial_valuation(f, p) < 0:
         raise DomainError(f"{f} is not p-integrally valued at p={p}")
     return frozenset(
         _residue(f(x), p) for x in _residue_classes(p, residue_period_exp(f, p))

@@ -26,13 +26,13 @@ from .arith import (
 )
 from .poly import (
     Polynomial,
-    p_integral_binomial,
+    _binomial_valuation,
     parse_polynomial,
     residue_image,
     residue_period_exp,
 )
 from .sequences import SeqWindow, WindowClass, classify_window
-from .vorder import ALL_INTEGERS, MembershipTarget, SubsetDescriptor, int_membership
+from .vorder import ALL_INTEGERS, SubsetDescriptor, _valuation_on
 
 INSUFFICIENT_PRECISION = "insufficient_precision"
 WINDOW_AMBIGUOUS = "window_ambiguous"
@@ -198,21 +198,21 @@ def _parse_fields(body: str) -> dict:
     return fields
 
 
-def _require_in_ring(f: Polynomial, E: SubsetDescriptor, p: int) -> None:
-    if not int_membership(f, E, p, MembershipTarget.VALUATION_RING):
+def _require_in_ring(f: Polynomial, E: SubsetDescriptor, p: int):
+    """v_E(f), refused unless f lies in the ring (v_E(f) >= 0)."""
+    v = _valuation_on(f, E, p)
+    if v < 0:
         raise DomainError(
             f"{f} is not integer-valued on {E} at p={p}; membership query is not defined"
         )
+    return v
 
 
 def _completion_threshold(f: Polynomial, E: SubsetDescriptor, p: int) -> int:
-    """Precision from which x mod p^N fixes f(x) mod p.
-
-    Over all of Z, ring membership makes f p-integral there, which
-    `residue_period_exp` needs.  Over a finite set f may not be, and only
-    the denominator bound 1 + v_p(m) holds.
-    """
-    if E.is_finite and not p_integral_binomial(f, p):
+    """Precision from which x mod p^N fixes f(x) mod p: `residue_period_exp`
+    when f is p-integral on Z, as ring membership makes it over Z; else only
+    the denominator bound 1 + v_p(m)."""
+    if E.is_finite and _binomial_valuation(f, p) < 0:
         return 1 + vp_int(f.denominator_lcm(), p)
     return residue_period_exp(f, p)
 
@@ -261,8 +261,7 @@ def ideal_membership(
     if isinstance(ideal, PrimeAboveZero):
         return YES if ideal.q.divides(f) else NO
     if isinstance(ideal, IntEM):
-        _require_in_ring(f, E, ideal.p)
-        return YES if int_membership(f, E, ideal.p, MembershipTarget.MAXIMAL_IDEAL) else NO
+        return YES if _require_in_ring(f, E, ideal.p) >= 1 else NO
     residues = _point_residues(f, ideal, E)
     if residues is None:
         return unknown(INSUFFICIENT_PRECISION)
@@ -299,11 +298,10 @@ def separation_check(f: Polynomial, p: int):
     representatives at every maximal ideal above p.
     """
     require_prime(p)
-    if not int_membership(f, ALL_INTEGERS, p, MembershipTarget.VALUATION_RING):
+    if _binomial_valuation(f, p) < 0:
         raise DomainError(f"{f} is not integer-valued at p={p}")
     residues = residue_image(f, p)
     product = Polynomial.one()
     for s in sorted(residues):
         product = product * (f - s)
-    in_ideal = int_membership(product, ALL_INTEGERS, p, MembershipTarget.MAXIMAL_IDEAL)
-    return residues, in_ideal
+    return residues, _binomial_valuation(product, p) >= 1

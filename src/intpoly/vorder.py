@@ -11,7 +11,7 @@ from enum import Enum
 from math import lcm
 
 from .arith import DomainError, _vp, require_prime
-from .poly import Polynomial, p_integral_binomial, residue_image
+from .poly import Polynomial, _binomial_valuation
 
 
 @dataclass(frozen=True)
@@ -194,22 +194,23 @@ class MembershipTarget(Enum):
     MAXIMAL_IDEAL = "m"
 
 
+def _valuation_on(f: Polynomial, E: SubsetDescriptor, p: int):
+    """v_E(f) = min over x in E of v_p(f(x)), INF for f = 0, once p and E
+    are validated; over Z it is read off the binomial coefficients."""
+    E.require_p_integral(p)
+    if E.is_finite:
+        return min(_vp(f(a), p) for a in E.points)
+    return _binomial_valuation(f, p)
+
+
 def int_membership(
     f: Polynomial,
     E: SubsetDescriptor,
     p: int,
     target: MembershipTarget = MembershipTarget.VALUATION_RING,
 ) -> bool:
-    """Membership of f in the p-local integer-valued ring over E, or in its
-    maximal-ideal layer (all values of positive valuation).
+    """Membership of f in the p-local integer-valued ring over E, v_E(f) >= 0,
+    or in its maximal-ideal layer, v_E(f) >= 1 (all values in pZ_(p)).
     """
-    require_prime(p)
     threshold = 0 if target is MembershipTarget.VALUATION_RING else 1
-    if E.is_finite:
-        E.require_p_integral(p)
-        return all(_vp(f(a), p) >= threshold for a in E.points)
-    if target is MembershipTarget.VALUATION_RING:
-        return p_integral_binomial(f, p)
-    if not p_integral_binomial(f, p):
-        return False
-    return residue_image(f, p) == frozenset({0})
+    return _valuation_on(f, E, p) >= threshold
