@@ -183,21 +183,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputParseError(f"bad rational {text!r}: {exc}") from None
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n|, ascending (n != 0)."""
-    if n == 0:
-        raise ValueError("prime_factors(0) is undefined")
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out

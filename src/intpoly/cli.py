@@ -85,9 +85,9 @@ def _parse_set(args) -> SubsetDescriptor:
     """The set --set and --all name; a subcommand without --all reads a
     missing --set as all integers."""
     every = getattr(args, "all", None)
-    if every and args.set:
+    if every and args.set is not None:
         raise InputParseError("--set and --all are mutually exclusive")
-    if args.set:
+    if args.set is not None:
         return SubsetDescriptor.finite(_parse_points(args.set))
     if every is False:
         raise InputParseError("one of --set or --all is required")

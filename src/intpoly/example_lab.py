@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .arith import DomainError
+from .arith import DomainError, InputParseError
 from .matrices import (
     idempotent_check,
     poly_det2,
@@ -93,12 +93,19 @@ class ExampleCertificate:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "ExampleCertificate":
-        return cls(
-            **{name: parse_polynomial(data[name]) for name in _POLY_FIELDS},
-            sign=int(data["sign"]),
-            checks={k: bool(v) for k, v in data["checks"].items()},
-        )
+    def from_json(cls, data) -> "ExampleCertificate":
+        """The certificate of a `to_json` record; a record with a missing
+        field or a field of the wrong type is an InputParseError."""
+        try:
+            return cls(
+                **{name: parse_polynomial(data[name]) for name in _POLY_FIELDS},
+                sign=int(data["sign"]),
+                checks={k: bool(v) for k, v in data["checks"].items()},
+            )
+        except KeyError as exc:
+            raise InputParseError(f"certificate field {exc} is missing") from None
+        except (TypeError, AttributeError) as exc:
+            raise InputParseError(f"malformed certificate: {exc}") from None
 
     def re_verify(self) -> "ExampleCertificate":
         """Recompute the certificate from its own (beta, gamma, g, sign)."""

@@ -7,11 +7,11 @@ idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import DomainError, _vp, ext_gcd, prime_factors
+from .arith import DomainError, _vp, ext_gcd
 from .poly import (
+    MAX_RESIDUE_CLASSES,
     Polynomial,
     _residue_classes,
     bezout_gcd_many,
@@ -299,6 +299,21 @@ class ContentVerdict:
         }
 
 
+def _content_primes(c: int):
+    """The prime factors of c > 0 in ascending order, by trial division up
+    to MAX_RESIDUE_CLASSES.  A cofactor left above it comes last, whole: its
+    primes all exceed the cap, so no sweep may visit their classes."""
+    d = 2
+    while d * d <= c and d <= MAX_RESIDUE_CLASSES:
+        if c % d == 0:
+            yield d
+            while c % d == 0:
+                c //= d
+        d += 1 if d == 2 else 2
+    if c > 1:
+        yield c
+
+
 def unit_content_decide(entries) -> ContentVerdict:
     """Decide whether integer-valued polynomials generate the unit ideal.
 
@@ -309,7 +324,8 @@ def unit_content_decide(entries) -> ContentVerdict:
     containing all entries forces p | c.  (3) For each such p, sweep one full
     period of residues; a class where every entry has positive valuation is a
     non-unit witness, and full coverage certifies the unit verdict.  A
-    period of more than poly.MAX_RESIDUE_CLASSES classes is a DomainError.
+    period of more than poly.MAX_RESIDUE_CLASSES classes is a DomainError,
+    and so is a factor of c that trial division up to that cap leaves.
     """
     entries = tuple(
         e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in entries
@@ -333,7 +349,7 @@ def unit_content_decide(entries) -> ContentVerdict:
     int_mults = tuple(u * scale for u in mults)
 
     coverage = {}
-    for p in prime_factors(c):
+    for p in _content_primes(c):
         # every entry's values mod p are constant on the classes mod p^exp
         exp = max(1, *(residue_period_exp(e, p) for e in entries))
         table = {}
@@ -537,22 +553,13 @@ def trace_combination_search(M, max_deg: int = 2, max_height: int = 10):
     deg_m = max(e.degree for e in entries)
     n_rows = deg_m + max_deg + 1
     n_cols = 4 * (max_deg + 1)
-    frac_rows = []
-    for power in range(n_rows):
-        row = []
-        for e in entries:
-            for k in range(max_deg + 1):
-                row.append(e.coefficient(power - k))
-        frac_rows.append(row)
     int_rows = []
     rhs = []
-    for power, row in enumerate(frac_rows):
-        target = Fraction(1 if power == 0 else 0)
-        denom = lcm(
-            *(f.denominator for f in row), target.denominator
-        ) if row else 1
+    for power in range(n_rows):
+        row = [e.coefficient(power - k) for e in entries for k in range(max_deg + 1)]
+        denom = lcm(*(f.denominator for f in row))
         int_rows.append([int(f * denom) for f in row])
-        rhs.append(int(target * denom))
+        rhs.append(denom if power == 0 else 0)  # the combination equals 1
 
     result = snf_with_transforms(int_rows)
     diag = result.diagonal

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm
 
 from .arith import (
     INF,
@@ -188,13 +188,14 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return Polynomial.one()
+        # left to right over the bits of n below the top one
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __divmod__(self, other):
@@ -203,22 +204,15 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self._coeffs) - len(other._coeffs) + 1, 1)
-        rem = list(self._coeffs)
         d = other.degree
         lc = other.leading_coefficient
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            q[k] = factor
+        rem = list(self._coeffs)
+        q = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in reversed(range(len(q))):
+            q[k] = factor = rem[k + d] / lc
             for i, c in enumerate(other._coeffs):
                 rem[k + i] -= factor * c
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
+        return Polynomial(q), Polynomial(rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -405,10 +399,7 @@ def binomial_poly(k: int) -> Polynomial:
     result = Polynomial.one()
     for j in range(k):
         result = result * Polynomial((-j, 1))
-    denom = 1
-    for j in range(1, k + 1):
-        denom *= j
-    return result / denom
+    return result / factorial(k)
 
 
 @dataclass(frozen=True)

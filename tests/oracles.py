@@ -7,11 +7,12 @@ integer arithmetic and decides common divisors through a resultant, and the
 subset-product bound re-derives step minima from pair valuations.
 
 The reference kernels at the end are the library's earlier `v_ordering`,
-`expand_in_basis` and `bounded_search`: the first two recompute every
-candidate's whole difference product at each step and build every basis
-polynomial, the search builds every candidate pair's polynomials and
-certificate attempt.  The faster kernels must give the same results.  The
-integer matrix helpers check Smith normal form transforms.
+`expand_in_basis`, `bounded_search` and membership over all integers: the
+first two recompute every candidate's whole difference product at each step
+and build every basis polynomial, the search builds every candidate pair's
+polynomials and certificate attempt, and the membership test sweeps the
+residues of f for the maximal-ideal layer.  The faster kernels must give the
+same results.  The integer matrix helpers check Smith normal form transforms.
 """
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ from intpoly import (
     recover_solution,
     reduce_relation,
     regular_basis,
+    residue_image,
+    to_binomial_basis,
     vp,
 )
 from intpoly.arith import require_prime
@@ -206,6 +209,24 @@ def _int_poly_eval_mod(coeffs, x: int, mod: int) -> int:
     return acc
 
 
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of |n|, ascending (n != 0)."""
+    if n == 0:
+        raise ValueError("prime_factors(0) is undefined")
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def content_oracle_unit(f_coeffs, g_coeffs) -> bool:
     """Exhaustive small-prime residue search plus the common-divisor check.
 
@@ -325,6 +346,15 @@ def reference_expand_in_basis(f, vord: VOrdering) -> list:
             value -= coeffs[h] * bases[h](a_k)
         coeffs.append(value)
     return coeffs
+
+
+def reference_int_membership_all_integers(f, p: int, maximal: bool) -> bool:
+    """The earlier membership test over Z: every binomial coefficient of f
+    p-integral, and for the maximal-ideal layer a residue image of {0}.  The
+    sweep refuses a period of more than poly.MAX_RESIDUE_CLASSES classes."""
+    if any(vp(c, p) < 0 for c in to_binomial_basis(f).coeffs):
+        return False
+    return not maximal or residue_image(f, p) == {0}
 
 
 def _exact_degree_candidates(deg, height: int):

@@ -36,7 +36,7 @@ from intpoly import (
     verify_known_solution,
     vp,
 )
-from intpoly.arith import prime_factors, vp_int
+from intpoly.arith import vp_int
 from intpoly.example_lab import B_MATRIX, GARBLED_G_INDEX, PRINTED_G
 from intpoly.matrices import (
     poly_det2,
@@ -52,6 +52,7 @@ from oracles import (
     int_det,
     int_mat_mul,
     pairwise_product_minima,
+    prime_factors,
 )
 
 X = Polynomial.x()

@@ -189,6 +189,57 @@ class TestExitCodes:
         assert error["kind"] == "domain_error"
         assert "cap of 100000 classes" in error["message"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("frisch", "--poly", "X", "--p", "1009"), "cap of degree 300"),
+            (
+                ("content", "--entries", "1000000016000000063;X+1"),
+                "sweeping 1000000016000000063^1 residue classes exceeds the cap",
+            ),
+        ],
+    )
+    def test_work_caps(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "domain_error"
+        assert message in error["message"]
+
+    def test_maximal_layer_over_z_needs_no_sweep(self, capsys):
+        # 100003 classes would exceed the sweep cap; one binomial transform decides
+        start = time.perf_counter()
+        argv = ("member", "--poly", "X^2-X", "--all", "--p", "100003", "--target", "m", "--json")
+        assert run_cli(capsys, *argv) == (0, '{"member": false}\n', "")
+        argv = ("ideal", "member", "--ideal", "iem:p=100003", "--poly", "100003*X", "--json")
+        assert run_cli(capsys, *argv) == (0, '{"verdict": "yes"}\n', "")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("blob", ['{"beta": "X"}', "null", "[1, 2]", '{"beta": 5}'])
+    def test_malformed_certificate_is_parse_error(self, capsys, monkeypatch, blob):
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        code, out, _ = run_cli(capsys, "example", "verify", "--stdin", "--json")
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("member", "--poly", "X", "--set", "", "--all", "--p", "2"),
+             "--set and --all are mutually exclusive"),
+            (("ideal", "member", "--ideal", "max:p=2,a=3", "--poly", "X", "--set", ""),
+             "bad rational ''"),
+        ],
+    )
+    def test_empty_set_is_parse_error(self, capsys, argv, message):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse_error"
+        assert message in error["message"]
+
     def test_domain_error_json_object(self, capsys):
         code, out, _ = run_cli(capsys, "bezout4", "2", "4", "6", "8", "--json")
         assert code == 1

@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -23,7 +24,7 @@ from intpoly.matrices import (
     poly_trace,
 )
 from intpoly.poly import MAX_RESIDUE_CLASSES
-from oracles import content_oracle_unit, int_det, int_mat_mul
+from oracles import content_oracle_unit, int_det, int_mat_mul, prime_factors
 
 X = Polynomial.x()
 
@@ -148,6 +149,18 @@ class TestUnitContent:
         with pytest.raises(DomainError, match=f"cap of {MAX_RESIDUE_CLASSES} classes"):
             unit_content_decide((Polynomial.constant(1000003), X + 1))
 
+    def test_cofactor_above_the_cap(self):
+        # c = (10^9+7)(10^9+9): trial division stops at the cap and the
+        # unfactored cofactor is refused whole, at once
+        big = (10**9 + 7) * (10**9 + 9)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"sweeping {big}\\^1 residue classes"):
+            unit_content_decide((Polynomial.constant(big), X + 1))
+        assert time.perf_counter() - start < 1.0
+        # a smaller prime that already decides is swept first, as before
+        verdict = unit_content_decide((Polynomial.constant(2 * big), X * (X + 1)))
+        assert (verdict.unit, verdict.witness_prime, verdict.witness_residue) == (False, 2, 0)
+
     def test_unit_certificate_reverifies(self):
         entries = (X * (X - 1) / 2, Polynomial.constant(3), X + 1)
         verdict = unit_content_decide(entries)
@@ -178,7 +191,6 @@ class TestUnitContent:
         # within its range, so sampling is conditioned on that
         from math import lcm
 
-        from intpoly.arith import prime_factors
         from intpoly.poly import bezout_gcd_many
 
         rng = random.Random(73)

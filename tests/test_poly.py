@@ -45,6 +45,26 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             divmod(f, Polynomial.zero())
 
+    def test_divmod_and_pow_seeded(self):
+        rng = random.Random(41)
+
+        def rand_poly(deg):
+            return Polynomial(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg + 1)]
+            )
+
+        for _ in range(300):
+            f, g = rand_poly(rng.randrange(-1, 9)), rand_poly(rng.randrange(0, 6))
+            if g.is_zero:
+                continue
+            q, r = divmod(f, g)
+            assert g * q + r == f and r.degree < g.degree
+            n = rng.randrange(0, 7)
+            power = Polynomial.one()
+            for _ in range(n):
+                power = power * f
+            assert f ** n == power
+
     def test_evaluation(self):
         f = (X ** 2 + X) / 2
         assert f(3) == 6

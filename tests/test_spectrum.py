@@ -21,6 +21,7 @@ from intpoly import (
     residue_representative,
     separation_check,
 )
+from intpoly.spectrum import MAX_SEPARATION_DEGREE
 
 X = Polynomial.x()
 
@@ -174,6 +175,11 @@ class TestSeparation:
     def test_precondition(self):
         with pytest.raises(DomainError):
             separation_check(X / 2, 2)
+
+    def test_product_cap(self):
+        # |R| * deg f = 307 > MAX_SEPARATION_DEGREE: refused before the product is built
+        with pytest.raises(DomainError, match=f"cap of degree {MAX_SEPARATION_DEGREE}"):
+            separation_check(X, 307)
 
     def test_random_int_valued(self):
         rng = random.Random(32)

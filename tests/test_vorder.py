@@ -22,8 +22,10 @@ from intpoly import arith
 from intpoly.arith import vp_int
 from oracles import (
     brute_force_w,
+    frac_valuation,
     pairwise_product_minima,
     reference_expand_in_basis,
+    reference_int_membership_all_integers,
     reference_v_ordering,
 )
 
@@ -171,6 +173,12 @@ class TestReferenceKernels:
             v_ordering(finite(*range(size)), size - 1, 1000003)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 2
+        f = X ** 9 / 1000003 + X
+        for E in (finite(*range(16)), ALL_INTEGERS):
+            for target in MembershipTarget:
+                calls.clear()
+                int_membership(f, E, 1000003, target)
+                assert calls == [1000003]
 
 
 class TestRegularBasis:
@@ -256,6 +264,34 @@ class TestMembership:
         E = finite(1, 3, 5)
         assert int_membership(X / 2, E, 2, MembershipTarget.VALUATION_RING) is False
         assert int_membership((X - 1) / 2, E, 3, MembershipTarget.VALUATION_RING)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_all_integers_matches_reference(self, p):
+        rng = random.Random(500 + p)
+        dens = (1, 1, 2, 3, p, p * p)
+        for _ in range(40):
+            f = Polynomial(
+                [Fraction(rng.randint(-30, 30), rng.choice(dens))
+                 for _ in range(rng.randrange(0, 10))]
+            ) * rng.choice((1, p))
+            for target in MembershipTarget:
+                maximal = target is MembershipTarget.MAXIMAL_IDEAL
+                assert int_membership(f, ALL_INTEGERS, p, target) == (
+                    reference_int_membership_all_integers(f, p, maximal)
+                ), (str(f), target)
+
+    def test_all_integers_above_the_sweep_cap(self):
+        # p^1 classes exceed the reference's sweep cap; the values at
+        # 0..deg f decide instead, since they and the binomial coefficients
+        # determine each other over Z
+        p = 100003
+        with pytest.raises(DomainError, match="cap of"):
+            reference_int_membership_all_integers(X ** 2 - X, p, True)
+        for f in (X ** 2 - X, p * (X ** 2 - X) / 2, X * (X - 1) * (X - 2) / p, p * X + p):
+            least = min(frac_valuation(f(x), p) for x in range(f.degree + 1) if f(x))
+            for target in MembershipTarget:
+                threshold = 1 if target is MembershipTarget.MAXIMAL_IDEAL else 0
+                assert int_membership(f, ALL_INTEGERS, p, target) == (least >= threshold)
 
     def test_agrees_with_expansion_valuations(self):
         rng = random.Random(15)
