@@ -32,7 +32,7 @@ from .poly import (
     residue_period_exp,
 )
 from .sequences import SeqWindow, WindowClass, classify_window
-from .vorder import ALL_INTEGERS, SubsetDescriptor, _valuation_on
+from .vorder import ALL_INTEGERS, SubsetDescriptor
 
 INSUFFICIENT_PRECISION = "insufficient_precision"
 WINDOW_AMBIGUOUS = "window_ambiguous"
@@ -199,8 +199,13 @@ def _parse_fields(body: str) -> dict:
 
 
 def _require_in_ring(f: Polynomial, E: SubsetDescriptor, p: int):
-    """v_E(f), refused unless f lies in the ring (v_E(f) >= 0)."""
-    v = _valuation_on(f, E, p)
+    """v_E(f) = min over x in E of v_p(f(x)), INF for f = 0, refused unless
+    f lies in the ring (v_E(f) >= 0)."""
+    E.require_p_integral(p)
+    if E.is_finite:
+        v = min(_vp(f(a), p) for a in E.points)
+    else:
+        v = _binomial_valuation(f, p)
     if v < 0:
         raise DomainError(
             f"{f} is not integer-valued on {E} at p={p}; membership query is not defined"

@@ -194,15 +194,6 @@ class MembershipTarget(Enum):
     MAXIMAL_IDEAL = "m"
 
 
-def _valuation_on(f: Polynomial, E: SubsetDescriptor, p: int):
-    """v_E(f) = min over x in E of v_p(f(x)), INF for f = 0, once p and E
-    are validated; over Z it is read off the binomial coefficients."""
-    E.require_p_integral(p)
-    if E.is_finite:
-        return min(_vp(f(a), p) for a in E.points)
-    return _binomial_valuation(f, p)
-
-
 def int_membership(
     f: Polynomial,
     E: SubsetDescriptor,
@@ -212,5 +203,8 @@ def int_membership(
     """Membership of f in the p-local integer-valued ring over E, v_E(f) >= 0,
     or in its maximal-ideal layer, v_E(f) >= 1 (all values in pZ_(p)).
     """
+    E.require_p_integral(p)
     threshold = 0 if target is MembershipTarget.VALUATION_RING else 1
-    return _valuation_on(f, E, p) >= threshold
+    if E.is_finite:  # v_E(f) >= threshold, stopping at the first point below it
+        return all(_vp(f(a), p) >= threshold for a in E.points)
+    return _binomial_valuation(f, p) >= threshold
