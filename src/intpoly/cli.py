@@ -97,7 +97,11 @@ def _parse_set(args) -> SubsetDescriptor:
 def _read_certificate(args):
     """The certificate `example verify --stdin` reads; None otherwise."""
     if args.stdin and args.action == "verify":
-        return ExampleCertificate.from_json(json.loads(sys.stdin.read()))
+        try:
+            record = json.loads(sys.stdin.read())
+        except RecursionError:
+            raise InputParseError("certificate nested too deeply") from None
+        return ExampleCertificate.from_json(record)
     return None
 
 

@@ -497,6 +497,12 @@ def residue_image(f: Polynomial, p: int) -> frozenset:
     require_prime(p)
     if _binomial_valuation(f, p) < 0:
         raise DomainError(f"{f} is not p-integrally valued at p={p}")
+    return _residue_sweep(f, p)
+
+
+def _residue_sweep(f: Polynomial, p: int) -> frozenset:
+    """`residue_image` without its checks: p prime and f p-integrally valued
+    are the caller's to ensure."""
     return frozenset(
         _residue(f(x), p) for x in _residue_classes(p, residue_period_exp(f, p))
     )

@@ -27,8 +27,8 @@ from .arith import (
 from .poly import (
     Polynomial,
     _binomial_valuation,
+    _residue_sweep,
     parse_polynomial,
-    residue_image,
     residue_period_exp,
 )
 from .sequences import SeqWindow, WindowClass, classify_window
@@ -311,7 +311,7 @@ def separation_check(f: Polynomial, p: int):
     require_prime(p)
     if _binomial_valuation(f, p) < 0:
         raise DomainError(f"{f} is not integer-valued at p={p}")
-    residues = residue_image(f, p)
+    residues = _residue_sweep(f, p)
     if len(residues) * f.degree > MAX_SEPARATION_DEGREE:
         raise DomainError(
             f"the separation product of degree {len(residues) * f.degree} "

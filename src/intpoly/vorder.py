@@ -10,7 +10,7 @@ from fractions import Fraction
 from enum import Enum
 from math import lcm
 
-from .arith import DomainError, _vp, require_prime
+from .arith import DomainError, _vp, require_prime, vp_int
 from .poly import Polynomial, _binomial_valuation
 
 
@@ -130,14 +130,15 @@ def v_ordering(E: SubsetDescriptor, n: int, p: int, tie_break: str = "min") -> V
     if tie_break == "max":
         remaining.reverse()
     # The points are p-integral, so their denominators are prime to p and
-    # v_p(r/s - t/u) = v_p(r*u - t*s): the valuations need only integers.
+    # v_p(r/s - t/u) = v_p(r*u - t*s): the valuations need only integers,
+    # and r*u - t*s is never zero because the points are distinct.
     pairs = [(x.numerator, x.denominator) for x in remaining]
     chosen = [remaining.pop(0)]
     t, u = pairs.pop(0)
     w = [0]
     sums = [0] * len(remaining)
     for _ in range(n):
-        sums = [v + _vp(r * u - t * s, p) for v, (r, s) in zip(sums, pairs)]
+        sums = [v + vp_int(r * u - t * s, p) for v, (r, s) in zip(sums, pairs)]
         # min returns the first minimum: ties go to the earliest in `remaining`
         best = min(range(len(remaining)), key=sums.__getitem__)
         chosen.append(remaining.pop(best))
@@ -164,21 +165,25 @@ def expand_in_basis(f: Polynomial, vord: VOrdering) -> list:
 
     With N_h(x) = prod_{j<h}(x - a_j), f_h = N_h / N_h(a_h), so the sum is
     the Newton form sum_{h<k} q_h N_h(a_k) with q_h = c_h / N_h(a_h), and
-    N_h(a_k) is a running product over h.  No basis polynomial is built:
-    O(n^2) field operations for an ordering of length n+1.
+    N_h(a_k) is a running product over h.  No basis polynomial is built.
+    The divided difference q_k vanishes for k > d = deg f, and with it
+    c_k = q_k N_k(a_k): only c_0 .. c_d are computed, the rest are
+    Fraction(0).  That is O(n + d^2) field operations and d + 1
+    evaluations of f for an ordering of length n+1.
     """
     n = vord.last_index
     if f.degree > n:
         raise DomainError(
             f"degree {f.degree} exceeds ordering length (need deg <= {n})"
         )
+    points = vord.points[:f.degree + 1]
     # Scaling every point by a common denominator D scales N_h by D^h,
     # which cancels in f_h: the running products stay integers.
-    denominator = lcm(*(a.denominator for a in vord.points))
-    scaled = [a.numerator * (denominator // a.denominator) for a in vord.points]
+    denominator = lcm(*(a.denominator for a in points))
+    scaled = [a.numerator * (denominator // a.denominator) for a in points]
     coeffs = []
     newton = []  # q_h = c_h / N_h(a_h), with N_h taken at the scaled points
-    for k, a_k in enumerate(vord.points):
+    for k, a_k in enumerate(points):
         value = f(a_k)
         product = 1  # N_h(a_k)
         for h in range(k):
@@ -186,7 +191,7 @@ def expand_in_basis(f: Polynomial, vord: VOrdering) -> list:
             product *= scaled[k] - scaled[h]
         coeffs.append(value)
         newton.append(value / product)
-    return coeffs
+    return coeffs + [Fraction(0)] * (n - f.degree)
 
 
 class MembershipTarget(Enum):

@@ -224,6 +224,16 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "parse_error"
 
+    def test_deeply_nested_certificate_is_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "example", "verify", "--stdin", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "error": {"kind": "parse_error", "message": "certificate nested too deeply"}
+        }
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -21,6 +21,7 @@ from intpoly import (
     residue_representative,
     separation_check,
 )
+from intpoly import arith, poly
 from intpoly.spectrum import MAX_SEPARATION_DEGREE
 
 X = Polynomial.x()
@@ -173,8 +174,20 @@ class TestSeparation:
         assert residues == {3} and ok
 
     def test_precondition(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="is not integer-valued at p=2"):
             separation_check(X / 2, 2)
+
+    def test_preconditions_checked_once(self, monkeypatch):
+        # one transform of f and one of the product; one primality check
+        transforms, primes = [], []
+        real_transform, real_is_prime = poly.to_binomial_basis, arith.is_prime
+        monkeypatch.setattr(
+            poly, "to_binomial_basis", lambda f: transforms.append(f) or real_transform(f)
+        )
+        monkeypatch.setattr(arith, "is_prime", lambda p: primes.append(p) or real_is_prime(p))
+        residues, ok = separation_check(X * (X - 1) / 2, 2)
+        assert residues == {0, 1} and ok
+        assert (len(transforms), primes) == (2, [2])
 
     def test_product_cap(self):
         # |R| * deg f = 307 > MAX_SEPARATION_DEGREE: refused before the product is built

@@ -154,9 +154,21 @@ class TestReferenceKernels:
                     [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) * scale
                      for _ in range(rng.randrange(0, n + 2))]
                 )
-                assert repr(expand_in_basis(f, fast)) == repr(
-                    reference_expand_in_basis(f, fast)
-                )
+                coeffs = expand_in_basis(f, fast)
+                assert repr(coeffs) == repr(reference_expand_in_basis(f, fast))
+                beyond = coeffs[f.degree + 1:]
+                assert all(type(c) is Fraction and c == 0 for c in beyond)
+
+    def test_evaluates_f_at_most_deg_plus_one_times(self, monkeypatch):
+        calls = []
+        real = Polynomial.__call__
+        monkeypatch.setattr(Polynomial, "__call__", lambda f, x: calls.append(x) or real(f, x))
+        vord = v_ordering(finite(*range(16)), 15, 3)
+        for f, most in ((Polynomial.zero(), 0), (X ** 3 / 3 - X, 4), (X ** 15 + 1, 16)):
+            calls.clear()
+            assert len(expand_in_basis(f, vord)) == 16
+            assert len(calls) <= most
+        assert len(calls) == 16  # deg f = n needs every point
 
     def test_primality_checked_a_constant_number_of_times(self, monkeypatch):
         calls = []
