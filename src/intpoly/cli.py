@@ -23,7 +23,7 @@ import json
 import sys
 
 from .arith import DomainError, InputParseError, parse_rational
-from .example_lab import ExampleCertificate, bounded_search, verify_known_solution
+from .example_lab import _POLY_FIELDS, ExampleCertificate, bounded_search, verify_known_solution
 from .matrices import (
     idempotent_check,
     poly_det2,
@@ -159,8 +159,7 @@ def _rows(matrix) -> str:
 
 
 def _certificate_lines(cert: dict) -> list:
-    names = ("beta", "gamma", "f", "g", "u", "alpha", "delta")
-    lines = [f"{name:<5} = {cert[name]}" for name in names]
+    lines = [f"{name:<5} = {cert[name]}" for name in _POLY_FIELDS]
     lines[3] += f" (sign {cert['sign']:+d})"
     return lines + [f"check {name}: {_word(ok)}" for name, ok in cert["checks"].items()]
 

@@ -46,23 +46,6 @@ class SolutionFailure(DomainError):
         super().__init__(message)
 
 
-CHECK_NAMES = (
-    "u_int_valued",
-    "alpha_int_valued",
-    "beta_int_valued",
-    "gamma_int_valued",
-    "delta_int_valued",
-    "relation_unit",
-    "rank_one",
-    "square_identity",
-    "det_c_zero",
-    "trace_bc_one",
-    "bc_idempotent",
-    "bc_nontrivial",
-    "content_bc_unit",
-)
-
-
 # the polynomial fields of a certificate, which its JSON record holds as text
 _POLY_FIELDS = ("beta", "gamma", "f", "g", "u", "alpha", "delta")
 

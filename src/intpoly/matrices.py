@@ -240,17 +240,6 @@ def poly_trace(M) -> Polynomial:
     return acc
 
 
-def poly_identity(n: int) -> tuple:
-    return tuple(
-        tuple(Polynomial.one() if i == j else Polynomial.zero() for j in range(n))
-        for i in range(n)
-    )
-
-
-def is_zero_matrix(M) -> bool:
-    return all(e.is_zero for row in M for e in row)
-
-
 # -- content decision ----------------------------------------------------------
 
 
@@ -484,8 +473,11 @@ def idempotent_check(M) -> tuple:
     if len(M) != len(M[0]):
         raise DomainError("idempotency needs a square matrix")
     idem = poly_mat_mul(M, M) == M
-    nontrivial = not is_zero_matrix(M) and M != poly_identity(len(M))
-    return idem, nontrivial
+    zero = all(e.is_zero for row in M for e in row)
+    identity = all(
+        e == (1 if i == j else 0) for i, row in enumerate(M) for j, e in enumerate(row)
+    )
+    return idem, not (zero or identity)
 
 
 def trace_combination_z(M) -> tuple:

@@ -225,12 +225,6 @@ class Polynomial:
             return other.is_zero
         return (other % self).is_zero
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lc = self.leading_coefficient
-        return Polynomial(tuple(c / lc for c in self._coeffs))
-
     def __call__(self, x):
         x = Fraction(x)
         acc = Fraction(0)
@@ -272,10 +266,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({str(self)!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "Polynomial":
-        return parse_polynomial(text)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -542,16 +532,10 @@ def bezout_gcd_many(polys):
         if q.is_zero:
             mults.append(Polynomial.zero())
             continue
-        if h.is_zero:
-            lc = q.leading_coefficient
-            h = q / lc
-            mults = [m * 0 for m in mults]
-            mults.append(Polynomial.constant(Fraction(1) / lc))
-            continue
-        h2, a, b = bezout_gcd_qx(h, q)
+        # at the first nonzero q, h = 0 and this gives (q/lc, 0, 1/lc)
+        h, a, b = bezout_gcd_qx(h, q)
         mults = [a * m for m in mults]
         mults.append(b)
-        h = h2
     return h, mults
 
 

@@ -115,13 +115,12 @@ def is_pseudo_limit(x, w: SeqWindow) -> bool:
 
 def _observed_dichotomy(vals) -> ImageDichotomy:
     """Tail behavior of a valuation list: strictly increasing throughout, or
-    constant from some index with at least two finite entries of evidence."""
+    constant from some index with at least two finite entries of evidence,
+    which is to say that the last two entries are equal and finite."""
     if _strictly_increasing(vals):
         return ImageDichotomy.INCREASING
-    for n0 in range(len(vals) - 1):
-        tail = vals[n0:]
-        if all(v == tail[0] for v in tail) and tail[0] is not INF:
-            return ImageDichotomy.EVENTUALLY_CONSTANT
+    if vals[-1] == vals[-2] and vals[-1] is not INF:
+        return ImageDichotomy.EVENTUALLY_CONSTANT
     return ImageDichotomy.UNDETERMINED
 
 
