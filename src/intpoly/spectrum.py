@@ -25,6 +25,7 @@ from .arith import (
     vp_int,
 )
 from .poly import (
+    MAX_DEGREE,
     Polynomial,
     _binomial_valuation,
     _residue_sweep,
@@ -294,11 +295,6 @@ def residue_representative(
     return residues[0]
 
 
-# the highest degree of a separation product: building and transforming it
-# takes about one second at degree 300 (Python 3.11, 2-core Xeon)
-MAX_SEPARATION_DEGREE = 300
-
-
 def separation_check(f: Polynomial, p: int):
     """Residue image of f together with the separation product test.
 
@@ -306,16 +302,16 @@ def separation_check(f: Polynomial, p: int):
     every integer into the maximal ideal; for valid inputs the product test
     must come out true, which is what makes the residues R a complete set of
     representatives at every maximal ideal above p.  A product of degree
-    |R| * deg f above MAX_SEPARATION_DEGREE is refused before it is built.
+    |R| * deg f above MAX_DEGREE is refused before it is built.
     """
     require_prime(p)
     if _binomial_valuation(f, p) < 0:
         raise DomainError(f"{f} is not integer-valued at p={p}")
     residues = _residue_sweep(f, p)
-    if len(residues) * f.degree > MAX_SEPARATION_DEGREE:
+    if len(residues) * f.degree > MAX_DEGREE:
         raise DomainError(
             f"the separation product of degree {len(residues) * f.degree} "
-            f"exceeds the cap of degree {MAX_SEPARATION_DEGREE}"
+            f"exceeds the cap of degree {MAX_DEGREE}"
         )
     product = Polynomial.one()
     for s in sorted(residues):

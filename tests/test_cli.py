@@ -208,6 +208,19 @@ class TestExitCodes:
         assert error["kind"] == "domain_error"
         assert message in error["message"]
 
+    def test_degree_cap(self, capsys):
+        # about 2 s without the cap: the binomial transform is O(d^2) in Fractions
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "member", "--poly", "X^500/2", "--all", "--p", "2", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {
+                "kind": "parse_error",
+                "message": "polynomial of degree 500 exceeds the cap of degree 300",
+            }
+        }
+
     def test_maximal_layer_over_z_needs_no_sweep(self, capsys):
         # 100003 classes would exceed the sweep cap; one binomial transform decides
         start = time.perf_counter()

@@ -17,7 +17,7 @@ from intpoly import (
     to_binomial_basis,
 )
 from intpoly.arith import vp_int
-from intpoly.poly import MAX_RESIDUE_CLASSES, binomial_poly
+from intpoly.poly import MAX_DEGREE, MAX_RESIDUE_CLASSES, bezout_gcd_many, binomial_poly
 
 X = Polynomial.x()
 
@@ -100,6 +100,27 @@ class TestTextFormat:
         for bad in ["", "X^", "X**2", "1/(X+1)", "Y+1", "(X"]:
             with pytest.raises(InputParseError):
                 parse_polynomial(bad)
+
+    @pytest.mark.parametrize(
+        "text, degree",
+        [
+            ("X^301", 301),
+            ("X^100000/2", 100000),
+            ("(X^2)^151", 302),
+            ("X^200*X^101", 301),
+            ("X^200X^200", 400),
+            ("(X^300)(X+1)", 301),
+        ],
+    )
+    def test_degree_cap(self, text, degree):
+        with pytest.raises(InputParseError, match=f"degree {degree} exceeds the cap of degree 300"):
+            parse_polynomial(text)
+
+    def test_degree_cap_admits_the_cap(self):
+        assert MAX_DEGREE == 300
+        assert parse_polynomial("(X^2)^150/2").degree == MAX_DEGREE
+        # a zero factor keeps the product at zero, however many factors follow
+        assert parse_polynomial("0*X^300*X^300").is_zero
 
 
 class TestBinomialBasis:
@@ -185,6 +206,34 @@ class TestBezout:
     def test_rejects_double_zero(self):
         with pytest.raises(DomainError):
             bezout_gcd_qx(Polynomial.zero(), Polynomial.zero())
+
+    def test_many_with_zero_entries_seeded(self):
+        rng = random.Random(1010)
+        leading_zero = single = 0
+        for _ in range(400):
+            family = [
+                Polynomial.zero()
+                if rng.random() < 0.3
+                else Polynomial(
+                    [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randrange(1, 6))]
+                )
+                for _ in range(rng.randrange(1, 6))
+            ]
+            nonzero = [i for i, q in enumerate(family) if not q.is_zero]
+            if not nonzero:
+                continue
+            h, mults = bezout_gcd_many(family)
+            assert sum((m * q for m, q in zip(mults, family)), Polynomial.zero()) == h
+            assert h.leading_coefficient == 1
+            assert all(m.is_zero for m, q in zip(mults, family) if q.is_zero)
+            if len(nonzero) == 1:
+                q = family[nonzero[0]]
+                expected = [Polynomial.zero()] * len(family)
+                expected[nonzero[0]] = Polynomial.constant(1 / q.leading_coefficient)
+                assert (h, mults) == (q / q.leading_coefficient, expected)
+                single += 1
+            leading_zero += nonzero[0] > 0
+        assert leading_zero > 50 and single > 50
 
     def test_identity_and_divisibility_random(self):
         rng = random.Random(4242)

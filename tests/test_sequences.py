@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,8 @@ from intpoly import (
     image_window_classify,
     is_pseudo_limit,
 )
+from intpoly.arith import INF
+from intpoly.sequences import _observed_dichotomy
 from oracles import classify_triples
 
 X = Polynomial.x()
@@ -117,6 +120,21 @@ class TestImageClassification:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(DomainError):
             image_window_classify(Polynomial.zero(), SeqWindow(2, (1, 3, 7)))
+
+    def test_observed_dichotomy_matches_tail_search(self):
+        def by_tails(vals):
+            if all(a < b for a, b in zip(vals, vals[1:])):
+                return ImageDichotomy.INCREASING
+            for n0 in range(len(vals) - 1):
+                tail = vals[n0:]
+                if all(v == tail[0] for v in tail) and tail[0] is not INF:
+                    return ImageDichotomy.EVENTUALLY_CONSTANT
+            return ImageDichotomy.UNDETERMINED
+
+        lists = [list(v) for n in range(2, 6) for v in product((0, 1, 2, INF), repeat=n)]
+        assert len(lists) == 1360
+        for vals in lists:
+            assert _observed_dichotomy(vals) is by_tails(vals), vals
 
     def test_dichotomy_on_generated_fixtures(self):
         # increasing kind: pseudo-limit 0, so v(x_n) climbs

@@ -22,7 +22,7 @@ from intpoly import (
     separation_check,
 )
 from intpoly import arith, poly
-from intpoly.spectrum import MAX_SEPARATION_DEGREE
+from intpoly.poly import MAX_DEGREE as MAX_SEPARATION_DEGREE
 
 X = Polynomial.x()
 
