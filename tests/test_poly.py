@@ -117,7 +117,6 @@ class TestTextFormat:
             parse_polynomial(text)
 
     def test_degree_cap_admits_the_cap(self):
-        assert MAX_DEGREE == 300
         assert parse_polynomial("(X^2)^150/2").degree == MAX_DEGREE
         # a zero factor keeps the product at zero, however many factors follow
         assert parse_polynomial("0*X^300*X^300").is_zero
