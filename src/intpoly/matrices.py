@@ -22,18 +22,21 @@ from .poly import (
 # -- integer matrices ---------------------------------------------------------
 
 
-def _check_int_matrix(rows) -> list:
-    out = [list(r) for r in rows]
-    if not out or not out[0]:
+def _matrix(rows, entry) -> list:
+    """The rows of a nonempty rectangular matrix as lists, each element
+    replaced by entry(element)."""
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
         raise DomainError("matrix must be nonempty")
-    width = len(out[0])
-    for r in out:
-        if len(r) != width:
-            raise DomainError("matrix rows must have equal length")
-        for x in r:
-            if not isinstance(x, int):
-                raise DomainError(f"integer matrix entry {x!r} is not an int")
-    return out
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DomainError("matrix rows must have equal length")
+    return [[entry(x) for x in r] for r in rows]
+
+
+def _int_entry(x) -> int:
+    if not isinstance(x, int):
+        raise DomainError(f"integer matrix entry {x!r} is not an int")
+    return x
 
 
 def _identity(n: int) -> list:
@@ -61,7 +64,7 @@ def snf_with_transforms(A) -> SNFResult:
     columns, and diagonal entries are normalized non-negative.  The zero
     matrix comes back unchanged with identity transforms.
     """
-    S = _check_int_matrix(A)
+    S = _matrix(A, _int_entry)
     m, n = len(S), len(S[0])
     U = _identity(m)
     W = _identity(n)
@@ -178,20 +181,8 @@ def strong_bezout_z(a: int, b: int, c: int, d: int) -> tuple:
 
 def poly_matrix(rows) -> tuple:
     """Coerce a rectangular nest of ints/Fractions/Polynomials to Polynomial entries."""
-    out = []
-    width = None
-    for r in rows:
-        row = tuple(
-            e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in r
-        )
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DomainError("matrix rows must have equal length")
-        out.append(row)
-    if not out or width == 0:
-        raise DomainError("matrix must be nonempty")
-    return tuple(out)
+    entry = lambda e: e if isinstance(e, Polynomial) else Polynomial.constant(e)
+    return tuple(map(tuple, _matrix(rows, entry)))
 
 
 def require_2x2(what: str, *matrices) -> None:
@@ -316,16 +307,11 @@ def unit_content_decide(entries) -> ContentVerdict:
     period of more than poly.MAX_RESIDUE_CLASSES classes is a DomainError,
     and so is a factor of c that trial division up to that cap leaves.
     """
-    entries = tuple(
-        e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in entries
-    )
     if not entries:
         raise DomainError("content of an empty family is undefined")
+    (entries,) = require_intpoly_matrix((entries,))
     if all(e.is_zero for e in entries):
         raise DomainError("content of the zero family is the zero ideal")
-    for e in entries:
-        if not is_int_valued(e):
-            raise DomainError(f"entry {e} is not integer-valued")
 
     h, mults = bezout_gcd_many(entries)
     if h.degree >= 1:
@@ -513,9 +499,7 @@ def trace_normalize(B, C, comb) -> tuple:
     B = require_intpoly_matrix(B)
     C = require_intpoly_matrix(C)
     require_2x2("trace normalization", B, C)
-    r, s, t, u = (
-        e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in comb
-    )
+    ((r, s, t, u),) = poly_matrix((comb,))
     if not poly_det2(C).is_zero:
         raise DomainError("C must have determinant zero")
     M = poly_mat_mul(B, C)

@@ -18,8 +18,6 @@ from .arith import (
     DomainError,
     InputParseError,
     PAdicResidue,
-    _residue,
-    _vp,
     padic_residue,
     require_prime,
     vp_int,
@@ -33,7 +31,7 @@ from .poly import (
     residue_period_exp,
 )
 from .sequences import SeqWindow, WindowClass, classify_window
-from .vorder import ALL_INTEGERS, SubsetDescriptor
+from .vorder import ALL_INTEGERS, MembershipTarget, SubsetDescriptor, int_membership
 
 INSUFFICIENT_PRECISION = "insufficient_precision"
 WINDOW_AMBIGUOUS = "window_ambiguous"
@@ -97,10 +95,8 @@ class MaxTrivial:
     a: Fraction
 
     def __post_init__(self):
-        require_prime(self.p)
         object.__setattr__(self, "a", Fraction(self.a))
-        if _vp(self.a, self.p) < 0:
-            raise DomainError(f"point {self.a} is not p-integral at p={self.p}")
+        SubsetDescriptor((self.a,)).require_p_integral(self.p)
 
     def __str__(self):
         return f"max:p={self.p},a={self.a}"
@@ -199,19 +195,12 @@ def _parse_fields(body: str) -> dict:
     return fields
 
 
-def _require_in_ring(f: Polynomial, E: SubsetDescriptor, p: int):
-    """v_E(f) = min over x in E of v_p(f(x)), INF for f = 0, refused unless
-    f lies in the ring (v_E(f) >= 0)."""
-    E.require_p_integral(p)
-    if E.is_finite:
-        v = min(_vp(f(a), p) for a in E.points)
-    else:
-        v = _binomial_valuation(f, p)
-    if v < 0:
+def _require_in_ring(f: Polynomial, E: SubsetDescriptor, p: int) -> None:
+    """Refuse f unless it lies in the ring, v_E(f) >= 0."""
+    if not int_membership(f, E, p):
         raise DomainError(
             f"{f} is not integer-valued on {E} at p={p}; membership query is not defined"
         )
-    return v
 
 
 def _completion_threshold(f: Polynomial, E: SubsetDescriptor, p: int) -> int:
@@ -235,7 +224,8 @@ def _window_tail(ideal: MaxSequence, E: SubsetDescriptor) -> tuple:
 def _point_residues(f: Polynomial, ideal: IdealSpec, E: SubsetDescriptor):
     """The residues mod p of f at the points that decide f at a maximal ideal:
     the point a of max:, the approximation x of comp: and the window tail of
-    seq:.  None when x is too coarse to fix f(x) mod p."""
+    seq:.  None when x is too coarse to fix f(x) mod p.  A value of negative
+    valuation, from comp: over a finite set at an x outside it, is refused."""
     p = ideal.p
     _require_in_ring(f, E, p)
     if isinstance(ideal, MaxTrivial):
@@ -250,14 +240,7 @@ def _point_residues(f: Polynomial, ideal: IdealSpec, E: SubsetDescriptor):
         points = _window_tail(ideal, E)
     else:
         raise DomainError(f"unsupported ideal spec {ideal!r}")
-    residues = []
-    for x in points:
-        value = f(x)
-        if value.denominator % p == 0:
-            # comp: over a finite set, at an x outside it
-            raise DomainError(f"{value} has negative valuation at p={p}")
-        residues.append(_residue(value, p))
-    return residues
+    return [padic_residue(f(x), p, 1).value for x in points]
 
 
 def ideal_membership(
@@ -267,7 +250,10 @@ def ideal_membership(
     if isinstance(ideal, PrimeAboveZero):
         return YES if ideal.q.divides(f) else NO
     if isinstance(ideal, IntEM):
-        return YES if _require_in_ring(f, E, ideal.p) >= 1 else NO
+        if int_membership(f, E, ideal.p, MembershipTarget.MAXIMAL_IDEAL):
+            return YES
+        _require_in_ring(f, E, ideal.p)
+        return NO
     residues = _point_residues(f, ideal, E)
     if residues is None:
         return unknown(INSUFFICIENT_PRECISION)
