@@ -59,19 +59,42 @@ class Infinity:
 INF = Infinity()
 
 
+# Miller-Rabin to the first 13 primes as bases is exact below psi_13
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017); above it no answer is proven.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(p) -> bool:
-    """Deterministic primality by trial division (inputs here are small)."""
+    """Deterministic primality: division by the 13 bases, which decides
+    p < 41^2, then a strong probable-prime test to each base.  A p at or
+    above PRIMALITY_BOUND with no factor among the bases is a DomainError."""
     if not isinstance(p, int) or p < 2:
         return False
-    if p < 4:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    if p < 41 * 41:
         return True
-    if p % 2 == 0 or p % 3 == 0:
-        return False
-    d = 5
-    while d * d <= p:
-        if p % d == 0 or p % (d + 2) == 0:
+    if p >= PRIMALITY_BOUND:
+        raise DomainError(
+            f"{p} is not below {PRIMALITY_BOUND}, the bound of the primality test"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 6
     return True
 
 

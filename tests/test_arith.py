@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from intpoly import INF, DomainError, PAdicResidue, ext_gcd, padic_residue, vp
+from intpoly.arith import PRIMALITY_BOUND, is_prime, require_prime
 
 nonzero_rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=1000
@@ -100,3 +102,45 @@ def test_residue_invariants_and_printing():
         PAdicResidue(4, 1, 2)
     with pytest.raises(DomainError):
         r.reduce(5)
+
+
+# Carmichael numbers, then strong pseudoprimes to the first 4, 5, 8, 9, 11 and
+# 12 prime bases (the least for each count), which fool Miller-Rabin on a
+# shorter list of bases
+PSEUDOPRIMES = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161,
+    3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461,
+)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    below = list(range(-3, 5000))
+    spread = [rng.randrange(2, 10 ** rng.randrange(4, 25)) for _ in range(3000)]
+    primes = [sympy.nextprime(rng.randrange(PRIMALITY_BOUND // 2)) for _ in range(50)]
+    primes.append(sympy.prevprime(PRIMALITY_BOUND))
+    semiprimes = [sympy.nextprime(10**11 + i) * sympy.nextprime(10**12 + i) for i in range(50)]
+    for n in below + spread + primes + semiprimes + list(PSEUDOPRIMES):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_decides_small_p_by_division(monkeypatch):
+    # below 41^2 a number prime to the 13 bases is prime: no power is taken
+    def no_pow(*args):
+        raise AssertionError("pow called")
+
+    monkeypatch.setattr("builtins.pow", no_pow)
+    assert [p for p in range(41 * 41) if is_prime(p)][-3:] == [1663, 1667, 1669]
+
+
+def test_primality_bound():
+    # psi_13 itself is a strong pseudoprime to all 13 bases
+    for n in (PRIMALITY_BOUND, 10**30 + 57):
+        with pytest.raises(DomainError, match=f"not below {PRIMALITY_BOUND}"):
+            require_prime(n)
+    # a factor among the bases decides any size
+    assert not is_prime(2 * 10**30)
+    assert not is_prime(41 * 10**40)

@@ -221,6 +221,23 @@ class TestExitCodes:
             }
         }
 
+    def test_large_prime(self, capsys):
+        # trial division ran without end on both primes; below the bound
+        # Miller-Rabin answers, at or above it the request is refused
+        start = time.perf_counter()
+        argv = ("classify", "--p", str(10**24 + 7), "--seq", "1,3,7,15", "--json")
+        assert run_cli(capsys, *argv)[:2] == (0, '{"class": "pseudo_stationary", '
+                                                 '"gapValuations": ["0", "0", "0"]}\n')
+        message = f"{10**30 + 57} is not below 3317044064679887385961981, the bound"
+        for argv, kind in (
+            (("classify", "--p", str(10**30 + 57), "--seq", "1,3,7,15"), "parse_error"),
+            (("member", "--poly", "X", "--all", "--p", str(10**30 + 57)), "domain_error"),
+        ):
+            _, out, _ = run_cli(capsys, *argv, "--json")
+            error = json.loads(out)["error"]
+            assert error["kind"] == kind and error["message"].startswith(message)
+        assert time.perf_counter() - start < 1.0
+
     def test_maximal_layer_over_z_needs_no_sweep(self, capsys):
         # 100003 classes would exceed the sweep cap; one binomial transform decides
         start = time.perf_counter()
