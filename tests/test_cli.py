@@ -208,6 +208,27 @@ class TestExitCodes:
         assert error["kind"] == "domain_error"
         assert message in error["message"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("vorder", "--all", "--p", "2", "--n", "2000000"), "--n 2000000 exceeds the cap of 100000"),
+            (("basis", "--all", "--p", "2", "--k", "3000"), "--k 3000 exceeds the cap of 300"),
+            (
+                ("expand", "--poly", "X", "--all", "--p", "2", "--n", "10000000"),
+                "--n 10000000 exceeds the cap of 100000",
+            ),
+            (
+                ("expand", "--poly", "2^20000*X", "--all", "--p", "2"),
+                "polynomial coefficients of size up to 2^20000 exceed the cap of 2^4096",
+            ),
+        ],
+    )
+    def test_parse_caps(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)) == (2, {"error": {"kind": "parse_error", "message": message}})
+
     def test_degree_cap(self, capsys):
         # about 2 s without the cap: the binomial transform is O(d^2) in Fractions
         start = time.perf_counter()

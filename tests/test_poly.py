@@ -17,7 +17,16 @@ from intpoly import (
     to_binomial_basis,
 )
 from intpoly.arith import vp_int
-from intpoly.poly import MAX_DEGREE, MAX_RESIDUE_CLASSES, bezout_gcd_many, binomial_poly
+from intpoly.poly import (
+    MAX_DEGREE,
+    MAX_HEIGHT,
+    MAX_RESIDUE_CLASSES,
+    _height,
+    _Parser,
+    _tokenize,
+    bezout_gcd_many,
+    binomial_poly,
+)
 
 X = Polynomial.x()
 
@@ -120,6 +129,63 @@ class TestTextFormat:
         assert parse_polynomial("(X^2)^150/2").degree == MAX_DEGREE
         # a zero factor keeps the product at zero, however many factors follow
         assert parse_polynomial("0*X^300*X^300").is_zero
+
+    @pytest.mark.parametrize(
+        "text, height",
+        [
+            ("2^20000*X", 20000),  # was a 6,021-digit coefficient, too long to print
+            ("2^4097", 4097),
+            (str(2**4200), 4200),
+            ("X/2^4096/2", 4097),
+            ("(2^4000*X+1)(2^4000X+1)", 8002),
+            ("(X+1)^200/2^4000", 4200),
+        ],
+    )
+    def test_height_cap(self, text, height):
+        message = rf"size up to 2\^{height} exceed the cap of 2\^{MAX_HEIGHT}"
+        with pytest.raises(InputParseError, match=message):
+            parse_polynomial(text)
+
+    def test_height_cap_on_a_sum(self):
+        # each term is below the cap, their common denominator is not
+        with pytest.raises(InputParseError, match=r"size up to 2\^\d+ exceed the cap"):
+            parse_polynomial("1/2^4000 + 1/5^1300")
+        # the bound 2 * (sum of the terms' heights) + 1 passes the cap here,
+        # the measured height does not
+        assert parse_polynomial("2^4000*X + 2^4000").coefficient(0) == 2**4000
+
+    def test_height_cap_admits_the_cap(self):
+        assert parse_polynomial("2^4096*X").coefficient(1) == 2**4096
+        assert parse_polynomial("X/2^4096").coefficient(1) == Fraction(1, 2**4096)
+        assert parse_polynomial("(100X+99)^300").coefficient(0) == 99**300
+
+    def test_height_bound_seeded(self):
+        # the bound the parser carries is at least the height it measures,
+        # and that height bounds every numerator and denominator
+        rng = random.Random(20261018)
+
+        def expression(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(["X", str(rng.randint(0, 99)), str(rng.randint(0, 2**40))])
+            kind = rng.randrange(5)
+            if kind == 0:
+                return f"({expression(depth - 1)})^{rng.randint(0, 4)}"
+            if kind == 1:
+                return f"{expression(depth - 1)}/{rng.randint(1, 10**6)}"
+            if kind == 2:
+                return f"({expression(depth - 1)})"
+            return expression(depth - 1) + "+-*"[kind - 3 + rng.randrange(2)] + expression(depth - 1)
+
+        for _ in range(500):
+            text = expression(4)
+            try:
+                f, bound = _Parser(_tokenize(text)).expr()
+            except InputParseError:
+                continue
+            height = _height(f)
+            assert height <= bound, text
+            for c in f.coeffs:
+                assert abs(c.numerator) <= 2**height and c.denominator <= 2**height, text
 
 
 class TestBinomialBasis:
