@@ -6,7 +6,10 @@ import pytest
 
 from intpoly import (
     DomainError,
+    MaxTrivial,
     Polynomial,
+    from_binomial_basis,
+    ideal_membership,
     idempotent_check,
     snf_with_transforms,
     strong_bezout_z,
@@ -211,6 +214,34 @@ class TestUnitContent:
             checked += 1
             verdict = unit_content_decide((f, g))
             assert verdict.unit == content_oracle_unit(fc, gc)
+
+
+    def test_verdicts_agree_with_membership_seeded(self):
+        # the paper's identity: a class that a unit certificate covers with
+        # entry i is a maximal ideal max:p,alpha that entry i lies outside,
+        # and a residue witness is one that every entry lies in
+        rng = random.Random(20261018)
+        kinds = set()
+        covered = 0
+        for _ in range(80):
+            entries = tuple(
+                from_binomial_basis([rng.randint(-6, 6) for _ in range(rng.randrange(1, 4))])
+                for _ in range(rng.randrange(1, 4))
+            )
+            if all(e.is_zero for e in entries):
+                continue
+            verdict = unit_content_decide(entries)
+            if verdict.unit:
+                kinds.add("unit")
+                for p, table in verdict.coverage.items():
+                    for alpha, i in table.items():
+                        assert ideal_membership(entries[i], MaxTrivial(p, alpha)).is_no
+                        covered += 1
+            elif verdict.witness_prime is not None:
+                kinds.add("residue")
+                ideal = MaxTrivial(verdict.witness_prime, verdict.witness_residue)
+                assert all(ideal_membership(e, ideal).is_yes for e in entries)
+        assert kinds == {"unit", "residue"} and covered > 0
 
 
 class TestUcsPairCheck:

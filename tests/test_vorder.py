@@ -306,18 +306,39 @@ class TestMembership:
                 assert int_membership(f, ALL_INTEGERS, p, target) == (least >= threshold)
 
     def test_agrees_with_expansion_valuations(self):
+        # the paper's identity: f lies in the ring exactly when its
+        # coefficients in the basis of any p-ordering of length > deg f are
+        # p-integral; E is Z or a finite set of rationals prime to p, and
+        # the orderings run from deg f + 1 to |E| points with either
+        # tie-break.  Half the finite cases add L/p to an integer f, L the
+        # Lagrange polynomial of one point a: f then fails at a alone.
         rng = random.Random(15)
-        for _ in range(25):
-            size = rng.randrange(2, 7)
-            pts = rng.sample(range(0, 12), size)
+        outcomes = set()
+        for kind in ("finite", "Z") * 100:
             p = rng.choice((2, 3, 5))
-            deg = rng.randrange(0, size)
+            size = rng.randrange(2, 9)
             f = Polynomial(
-                [Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(deg + 1)]
-            )
-            E = finite(*pts)
-            vord = v_ordering(E, size - 1, p)
+                [Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(rng.randrange(size))]
+            ) * rng.choice((1, 2 * 3 * 5 * 7, 8 * 9 * 25))
+            if kind == "finite":
+                dens = [d for d in (1, 1, 2, 3, 5, 7) if d % p]
+                pts = set()
+                while len(pts) < size:
+                    pts.add(Fraction(rng.randint(-12, 12), rng.choice(dens)))
+                E = finite(*pts)
+                if rng.random() < 0.5:
+                    a = rng.choice(E.points)
+                    lagrange = Polynomial.one()
+                    for b in E.points:
+                        if b != a:
+                            lagrange = lagrange * Polynomial((-b, 1)) / (a - b)
+                    f = Polynomial([rng.randint(-20, 20) for _ in range(size)]) + lagrange / p
+            else:
+                E = ALL_INTEGERS
+            n = rng.randrange(max(f.degree, 0), size)
+            vord = v_ordering(E, n, p, rng.choice(("min", "max")))
             coeffs = expand_in_basis(f, vord)
             member = int_membership(f, E, p, MembershipTarget.VALUATION_RING)
-            by_coeffs = all(vp(c, p) >= 0 for c in coeffs)
-            assert member == by_coeffs
+            assert member == all(vp(c, p) >= 0 for c in coeffs), (str(f), str(E), p)
+            outcomes.add((kind, member))
+        assert len(outcomes) == 4
