@@ -104,9 +104,9 @@ def test_residue_invariants_and_printing():
         r.reduce(5)
 
 
-# Carmichael numbers, then strong pseudoprimes to the first 4, 5, 8, 9, 11 and
-# 12 prime bases (the least for each count), which fool Miller-Rabin on a
-# shorter list of bases
+# Carmichael numbers, then the least strong pseudoprimes to the first 4, 5,
+# 6, 8, 11 and 12 prime bases, which fool Miller-Rabin on a shorter list of
+# bases
 PSEUDOPRIMES = (
     561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
     5394826801, 232250619601, 9746347772161,
