@@ -38,9 +38,12 @@ from .matrices import (
     ucs_pair_check,
     unit_content_decide,
 )
-from .poly import MAX_DEGREE, parse_polynomial, residue_image
+from .poly import MAX_DEGREE, Polynomial, _height, parse_polynomial, residue_image
 from .sequences import SeqWindow, classify_window, image_window_classify, is_pseudo_limit
 from .spectrum import (
+    MaxCompletion,
+    MaxSequence,
+    MaxTrivial,
     ideal_membership,
     parse_ideal,
     residue_representative,
@@ -128,6 +131,53 @@ def _at_most(flag: str, cap: int):
 MAX_ORDERING_INDEX = 100_000
 
 
+# a request of degree D (that of --poly, or --k; 1 without either) builds
+# values of about D times the size of a point, so every point a must keep
+# D * h(a) at most MAX_POINT_HEIGHT, where numerator and denominator of a are
+# at most 2^h(a).  At the cap `expand`, `basis` and `member` at degree 300
+# took at most 2.9, 1.4 and 0.7 s (1.4, 1.3 and 0.7 s with points below 2^10),
+# and every value printed stays below Python's 4,300-digit limit on int to
+# str conversion; at three times the cap `expand` reaches that limit
+# (Python 3.11, 2-core Xeon)
+MAX_POINT_HEIGHT = 4096
+
+
+def _request_points(args) -> list:
+    """The points of a converted request: those of --set, --seq and --x, and
+    the point, window or approximation of a max:, seq: or comp: ideal."""
+    points = []
+    E, seq, ideal = (getattr(args, name, None) for name in ("set", "seq", "ideal"))
+    if E is not None and E.is_finite:
+        points += E.points
+    if seq is not None:
+        points += seq.points
+    if getattr(args, "x", None) is not None:
+        points.append(args.x)
+    if isinstance(ideal, MaxTrivial):
+        points.append(ideal.a)
+    elif isinstance(ideal, MaxSequence):
+        points += ideal.window.points
+    elif isinstance(ideal, MaxCompletion):
+        points.append(ideal.x.value)
+    return points
+
+
+def _require_point_heights(args) -> None:
+    """Refuse a request whose degree times the height of a point exceeds
+    MAX_POINT_HEIGHT."""
+    points = _request_points(args)
+    if not points:
+        return
+    poly = getattr(args, "poly", None)
+    degree = max(1, poly.degree if poly is not None else 0, getattr(args, "k", None) or 0)
+    height = max(_height(Polynomial.constant(x)) for x in points)
+    if degree * height > MAX_POINT_HEIGHT:
+        raise InputParseError(
+            f"a point of size up to 2^{height} exceeds the cap of "
+            f"2^{MAX_POINT_HEIGHT // degree} at degree {degree}"
+        )
+
+
 _MATRIX = "rows ;-separated, entries ,-separated"
 _POINTS = "comma-separated points"
 _P = _opt("--p", type=int, required=True)
@@ -147,15 +197,17 @@ _C = _opt("--C", lambda a: _parse_matrix(a.C, parse_polynomial), required=True, 
 
 
 def _convert(args, options) -> None:
-    """Replace the text of each option by its value, in declared order.  A
-    value that is malformed or breaks an invariant of its type makes the
-    request unparseable (exit 2), not a domain error."""
+    """Replace the text of each option by its value, in declared order, then
+    check the size of the request's points.  A value that is malformed or
+    breaks an invariant of its type makes the request unparseable (exit 2),
+    not a domain error."""
     try:
         for flag, convert, _ in options:
             if convert is not None:
                 setattr(args, flag.lstrip("-"), convert(args))
     except (DomainError, ValueError) as exc:
         raise InputParseError(str(exc)) from None
+    _require_point_heights(args)
 
 
 # -- text from payloads -----------------------------------------------------

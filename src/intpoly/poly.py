@@ -4,6 +4,16 @@ Dense representation: a tuple of Fractions indexed by degree, trailing zeros
 trimmed (the zero polynomial has an empty tuple).  Degrees in this package
 stay small, so no sparse layout.
 
+Each polynomial also keeps one integer form, computed on first use by
+`_integer_form`: integer numerators F over the least positive common
+denominator m, so that f = F/m (a rational content times an integer
+polynomial, as in Cohen, "A Course in Computational Algebraic Number
+Theory", section 3.1).  A product convolves the two F and divides once per
+coefficient; evaluation at an int runs integer Horner on F and divides once;
+the binomial transform takes integer forward differences of F(0..deg f) and
+divides once per coefficient.  Sums, quotients and evaluation at a Fraction
+stay in Fraction arithmetic, and `coeffs` always returns the Fractions.
+
 Also provides the binomial-basis transform (finite differences), the
 integer-valuedness test, residue images mod p, extended gcd in Q[X], and
 exact polynomial square roots.
@@ -38,7 +48,7 @@ def _coerce(value) -> Fraction:
 class Polynomial:
     """Immutable univariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_int")
 
     def __init__(self, coeffs=()):
         cs = [_coerce(c) for c in coeffs]
@@ -117,6 +127,17 @@ class Polynomial:
     def has_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 for c in self._coeffs)
 
+    def _integer_form(self) -> tuple:
+        """(F, m): the integer numerators F over the least positive common
+        denominator m, so that f = F/m; computed on first use and kept."""
+        try:
+            return self._int
+        except AttributeError:
+            m = self.denominator_lcm()
+            form = tuple(c.numerator * (m // c.denominator) for c in self._coeffs), m
+            object.__setattr__(self, "_int", form)
+            return form
+
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other):
@@ -165,16 +186,17 @@ class Polynomial:
         other = self._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
+        if not self._coeffs or not other._coeffs:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, m = self._integer_form()
+        b, n = other._integer_form()
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return Polynomial(out)
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        mn = m * n
+        return Polynomial([Fraction(c, mn) for c in out])
 
     __rmul__ = __mul__
 
@@ -226,6 +248,9 @@ class Polynomial:
         return (other % self).is_zero
 
     def __call__(self, x):
+        if type(x) is int:
+            F, m = self._integer_form()
+            return Fraction(_horner(F, x), m)
         x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self._coeffs):
@@ -266,6 +291,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({str(self)!r})"
+
+
+def _horner(F, x: int) -> int:
+    """The integer coefficient list F, ascending, evaluated at the integer x."""
+    acc = 0
+    for c in reversed(F):
+        acc = acc * x + c
+    return acc
 
 
 # -- parsing ----------------------------------------------------------------
@@ -416,8 +449,8 @@ def _height(f: Polynomial) -> int:
     denominator m of f and 2^b at least the sum of the absolute values of
     the coefficients of m*f.  Every numerator and denominator of f is at
     most 2^h(f), and h(f*g) <= h(f) + h(g)."""
-    m = f.denominator_lcm()
-    norm = sum(abs(c.numerator) * (m // c.denominator) for c in f.coeffs)
+    F, m = f._integer_form()
+    norm = sum(map(abs, F))
     return (m - 1).bit_length() + (max(norm, 1) - 1).bit_length()
 
 
@@ -480,15 +513,13 @@ class BinomialForm:
 
 
 def to_binomial_basis(f: Polynomial) -> BinomialForm:
-    """Binomial-basis coefficients via iterated finite differences at 0..deg f."""
-    if f.is_zero:
-        return BinomialForm(())
-    d = f.degree
-    values = [f(x) for x in range(d + 1)]
+    """Binomial-basis coefficients: the iterated forward differences of the
+    integer values F(0..deg f), each divided by m once."""
+    F, m = f._integer_form()
+    work = [_horner(F, x) for x in range(f.degree + 1)]
     coeffs = []
-    work = values
-    for _ in range(d + 1):
-        coeffs.append(work[0])
+    while work:
+        coeffs.append(Fraction(work[0], m))
         work = [work[i + 1] - work[i] for i in range(len(work) - 1)]
     return BinomialForm(tuple(coeffs))
 
@@ -573,14 +604,15 @@ def bezout_gcd_qx(f: Polynomial, g: Polynomial):
         raise DomainError("gcd of two zero polynomials is undefined")
     r0, r1 = f, g
     s0, s1 = Polynomial.one(), Polynomial.zero()
-    t0, t1 = Polynomial.zero(), Polynomial.one()
     while not r1.is_zero:
         q, rem = divmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
     lc = r0.leading_coefficient
-    return r0 / lc, s0 / lc, t0 / lc
+    h, u = r0 / lc, s0 / lc
+    # v follows from u by one exact division, which costs less than
+    # carrying its own cofactor sequence through every step
+    return h, u, (h - u * f) // g if g else Polynomial.zero()
 
 
 def bezout_gcd_many(polys):
@@ -639,9 +671,9 @@ def _int_sqrt(h: list):
 def poly_sqrt(h: Polynomial):
     """Exact g with g*g == h and positive leading coefficient, else None.
 
-    With m the lcm of the denominators, h*m^2 lies in Z[X] and its root,
-    if any, is m*g; so the integer recurrence serves rational h too.
+    With h = F/m in its integer form, h*m^2 = F*m lies in Z[X] and its
+    root, if any, is m*g; so the integer recurrence serves rational h too.
     """
-    m = h.denominator_lcm()
-    g = _int_sqrt([int(c * m * m) for c in h.coeffs])
+    F, m = h._integer_form()
+    g = _int_sqrt([c * m for c in F])
     return None if g is None else Polynomial(g) / m

@@ -6,6 +6,10 @@ triple conditions directly, the content oracle sweeps small primes with
 integer arithmetic and decides common divisors through a resultant, and the
 subset-product bound re-derives step minima from pair valuations.
 
+`ReferencePolynomial` is the library's earlier `Polynomial`, which does
+every product, evaluation and binomial transform in `Fraction` arithmetic;
+the integer form of the current class must agree with it.
+
 The reference kernels at the end are the library's earlier `v_ordering`,
 `expand_in_basis`, `bounded_search` and membership over all integers: the
 first two recompute every candidate's whole difference product at each step
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from intpoly import (
     INF,
@@ -413,3 +418,70 @@ def reference_bounded_search(max_deg: int, max_height: int, budget: int) -> list
             except SolutionFailure:
                 continue
     return results
+
+
+# -- the Fraction-arithmetic polynomial -------------------------------------------
+
+
+class ReferencePolynomial:
+    """The earlier `Polynomial`: a tuple of Fractions, trailing zeros trimmed,
+    with Fraction products and Fraction Horner at every point."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def denominator_lcm(self) -> int:
+        m = 1
+        for c in self.coeffs:
+            m = m * c.denominator // gcd(m, c.denominator)
+        return m
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ReferencePolynomial()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return ReferencePolynomial(out)
+
+    def __call__(self, x):
+        x = Fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+def reference_to_binomial_basis(f: ReferencePolynomial) -> tuple:
+    """Binomial-basis coefficients from Fraction values at 0..deg f."""
+    work = [f(x) for x in range(f.degree + 1)]
+    coeffs = []
+    while work:
+        coeffs.append(work[0])
+        work = [work[i + 1] - work[i] for i in range(len(work) - 1)]
+    return tuple(coeffs)
+
+
+def reference_residue_image(f: ReferencePolynomial, p: int) -> frozenset:
+    """{ f(x) mod p } over the period p^N, N = min(1 + v_p(m), the number of
+    base-p digits of deg f), for f with p-integral binomial coefficients."""
+    require_prime(p)
+    if any(c and frac_valuation(c, p) < 0 for c in reference_to_binomial_basis(f)):
+        raise DomainError(f"not p-integrally valued at p={p}")
+    digits = 0
+    while p ** digits <= f.degree:
+        digits += 1
+    exp = min(1 + int_valuation(f.denominator_lcm(), p), digits)
+    values = (f(x) for x in range(p ** exp))
+    return frozenset(v.numerator * pow(v.denominator, -1, p) % p for v in values)

@@ -229,6 +229,51 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, json.loads(out)) == (2, {"error": {"kind": "parse_error", "message": message}})
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("expand", "--poly", "X^2", "--set", "0,1," + "7" * 2500, "--p", "2"),
+                "a point of size up to 2^8305 exceeds the cap of 2^2048 at degree 2",
+            ),
+            (
+                ("basis", "--set", f"0,1,2,{2**600 + 1}", "--p", "2", "--k", "7"),
+                "a point of size up to 2^601 exceeds the cap of 2^585 at degree 7",
+            ),
+            (
+                ("pseudolimit", "--p", "2", "--seq", "1,3,5", "--x", f"1/{3**3000}"),
+                "a point of size up to 2^4755 exceeds the cap of 2^4096 at degree 1",
+            ),
+            (
+                ("imageclass", "--p", "3", "--seq", f"1,{2**2000},4", "--poly", "X^3"),
+                "a point of size up to 2^2000 exceeds the cap of 2^1365 at degree 3",
+            ),
+            (
+                ("ideal", "member", "--ideal", f"max:p=2,a={3**1000}", "--poly", "X^3"),
+                "a point of size up to 2^1585 exceeds the cap of 2^1365 at degree 3",
+            ),
+            (
+                ("ideal", "member", "--ideal", f"seq:p=2,pts=1,3,7,{2**3000 + 15}", "--poly", "X^2"),
+                "a point of size up to 2^3001 exceeds the cap of 2^2048 at degree 2",
+            ),
+            (
+                ("representative", "--ideal", "comp:p=2,x=-1,N=5000", "--poly", "X^2"),
+                "a point of size up to 2^5000 exceeds the cap of 2^2048 at degree 2",
+            ),
+        ],
+    )
+    def test_point_caps(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)) == (2, {"error": {"kind": "parse_error", "message": message}})
+
+    def test_point_cap_admits_the_cap(self, capsys):
+        # degree 2 times a point of height 2048, 2^2048 itself, is at the cap
+        argv = ("expand", "--poly", "X^2", "--set", f"0,1,{2**2048}", "--p", "2", "--json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["coefficients"]) == 3
+
     def test_degree_cap(self, capsys):
         # about 2 s without the cap: the binomial transform is O(d^2) in Fractions
         start = time.perf_counter()

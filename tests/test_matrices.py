@@ -21,6 +21,7 @@ from intpoly import (
 )
 from intpoly.arith import vp
 from intpoly.matrices import (
+    MAX_CONTENT_DEGREE,
     poly_det2,
     poly_mat_mul,
     poly_matrix,
@@ -163,6 +164,20 @@ class TestUnitContent:
         # a smaller prime that already decides is swept first, as before
         verdict = unit_content_decide((Polynomial.constant(2 * big), X * (X + 1)))
         assert (verdict.unit, verdict.witness_prime, verdict.witness_residue) == (False, 2, 0)
+
+    def test_degree_cap(self):
+        # two seeded monic entries of degree 50 took about 2.9 s before the cap
+        rng = random.Random(50)
+        entries = [Polynomial([rng.randint(-9, 9) for _ in range(50)] + [1]) for _ in range(2)]
+        start = time.perf_counter()
+        with pytest.raises(
+            DomainError,
+            match=f"entries of degree 50 exceeds the cap of degree {MAX_CONTENT_DEGREE}",
+        ):
+            unit_content_decide(entries)
+        assert time.perf_counter() - start < 1.0
+        at_cap = X ** MAX_CONTENT_DEGREE + 1
+        assert unit_content_decide((at_cap, Polynomial.constant(2))).witness_prime == 2
 
     def test_unit_certificate_reverifies(self):
         entries = (X * (X - 1) / 2, Polynomial.constant(3), X + 1)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,8 @@ from intpoly.poly import (
     bezout_gcd_many,
     binomial_poly,
 )
+
+from oracles import ReferencePolynomial, reference_residue_image, reference_to_binomial_basis
 
 X = Polynomial.x()
 
@@ -255,6 +258,89 @@ class TestResidueImage:
                 span = p ** (1 + vp_int(f.denominator_lcm(), p) + 2)
                 brute = {f(x) % p for x in range(span)}
                 assert residue_image(f, p) == brute
+
+
+def _seeded_coefficients(rng, deg: int, bits: int) -> list:
+    """deg + 1 rationals with numerators below 2^bits and small denominators."""
+    big = 1 << bits
+    return [
+        Fraction(rng.randint(-big, big), rng.choice((1, 1, 2, 3, 4, 6, 9, 35)))
+        for _ in range(deg + 1)
+    ]
+
+
+def _fraction_constructions(call) -> int:
+    """The number of calls to Fraction.__new__ that call() makes."""
+    count = 0
+    new = Fraction.__new__.__code__
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is new:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestIntegerForm:
+    """Products, evaluation, the binomial transform and the residue image on
+    the integer form agree with the earlier Fraction arithmetic."""
+
+    POINTS = (0, 1, -1, 7, -12, 10**30 + 1, Fraction(3), Fraction(-5, 3), Fraction(7, 11))
+
+    def _cases(self):
+        rng = random.Random(1212)
+        yield []  # the zero polynomial
+        yield [Fraction(-4, 9)]  # a constant
+        yield [2**MAX_HEIGHT - 1, Fraction(1, 2**MAX_HEIGHT - 1)]
+        for _ in range(120):
+            deg = rng.randrange(0, 9)
+            bits = rng.choice((3, 20, MAX_HEIGHT - 8))
+            yield _seeded_coefficients(rng, deg, bits)
+
+    def test_matches_reference_seeded(self):
+        cases = list(self._cases())
+        rng = random.Random(12)
+        for coeffs in cases:
+            f, ref = Polynomial(coeffs), ReferencePolynomial(coeffs)
+            other = rng.choice(cases)
+            assert (f * Polynomial(other)).coeffs == (ref * ReferencePolynomial(other)).coeffs
+            for x in self.POINTS:
+                value = f(x)
+                assert type(value) is Fraction and value == ref(x)
+            assert to_binomial_basis(f).coeffs == reference_to_binomial_basis(ref)
+
+    def test_residue_image_matches_reference_seeded(self):
+        rng = random.Random(34)
+        for p in (2, 3, 5, 7):
+            for k in range(32):
+                deg = rng.randrange(0, 7)
+                binomial = [rng.randint(-2**40, 2**40) for _ in range(deg + 1)]
+                f = from_binomial_basis(binomial[:k])  # k = 0, 1: zero and a constant
+                assert residue_image(f, p) == reference_residue_image(
+                    ReferencePolynomial(f.coeffs), p
+                )
+
+    def test_binomial_transform_builds_one_fraction_per_coefficient(self):
+        rng = random.Random(56)
+        for deg in (0, 1, 5, 12):
+            coeffs = _seeded_coefficients(rng, deg, 20)
+            assert _fraction_constructions(
+                lambda: to_binomial_basis(Polynomial(coeffs))
+            ) == deg + 1
+
+    def test_residue_image_builds_one_fraction_per_class(self):
+        """One Fraction per class swept, on top of the deg f + 1 of the
+        binomial transform that checks the precondition."""
+        f = from_binomial_basis([3, -1, 4, 1, -5, 9, 2])
+        for p, classes in ((2, 2**3), (3, 3**2), (7, 7)):
+            g = Polynomial(f.coeffs)
+            assert _fraction_constructions(lambda: residue_image(g, p)) == 7 + classes
 
 
 class TestBezout:
