@@ -248,7 +248,7 @@ class Polynomial:
         return (other % self).is_zero
 
     def __call__(self, x):
-        if type(x) is int:
+        if type(x) is int:  # bool and Fraction points, integral or not, take Fraction Horner
             F, m = self._integer_form()
             return Fraction(_horner(F, x), m)
         x = Fraction(x)
