@@ -1,22 +1,20 @@
-"""Univariate polynomials over Q with exact arithmetic.
+"""Univariate polynomials over Q with exact arithmetic, the binomial-basis
+transform, the integer-valuedness test, residue images mod p, extended gcd
+in Q[X] and exact square roots.
 
-Dense representation: a tuple of Fractions indexed by degree, trailing zeros
-trimmed (the zero polynomial has an empty tuple).  Degrees in this package
-stay small, so no sparse layout.
+A polynomial f is stored as integer numerators F over one positive
+denominator m, f = F/m: F is indexed by degree with no trailing zero (the
+zero polynomial is F = () over m = 1) and gcd(m, F...) = 1, so the pair is
+unique and equality and hashing compare it directly.  This is the content
+and primitive part of Cohen, "A Course in Computational Algebraic Number
+Theory", section 3.1; degrees stay small, so the layout is dense.
 
-Each polynomial also keeps one integer form, computed on first use by
-`_integer_form`: integer numerators F over the least positive common
-denominator m, so that f = F/m (a rational content times an integer
-polynomial, as in Cohen, "A Course in Computational Algebraic Number
-Theory", section 3.1).  A product convolves the two F and divides once per
-coefficient; evaluation at an int runs integer Horner on F and divides once;
-the binomial transform takes integer forward differences of F(0..deg f) and
-divides once per coefficient.  Sums, quotients and evaluation at a Fraction
-stay in Fraction arithmetic, and `coeffs` always returns the Fractions.
-
-Also provides the binomial-basis transform (finite differences), the
-integer-valuedness test, residue images mod p, extended gcd in Q[X], and
-exact polynomial square roots.
+Sums, products, negation, scalar division and powers run on integers and
+reduce by one gcd when the result is built.  Evaluation at an int and the
+binomial transform run integer Horner on F and divide by m once per value.
+Fractions are built only where a value leaves the class: `coeffs`,
+`coefficient`, `leading_coefficient`, `constant_value`, the value of
+`__call__`, the long division of `divmod` and `to_binomial_basis`.
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 
 from .arith import (
     INF,
@@ -37,24 +35,18 @@ from .arith import (
 )
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-
-
 class Polynomial:
-    """Immutable univariate polynomial with Fraction coefficients."""
+    """Immutable univariate polynomial over Q, stored as F/m."""
 
-    __slots__ = ("_coeffs", "_int")
+    __slots__ = ("_F", "_m")
 
-    def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+    def __new__(cls, coeffs=()):
+        cs = tuple(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+        m = lcm(*(c.denominator for c in cs))
+        return _make([c.numerator * (m // c.denominator) for c in cs], m)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -81,32 +73,31 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple:
-        """Coefficients in ascending degree (trailing zeros trimmed)."""
-        return self._coeffs
+        """Coefficients as Fractions, ascending, trimmed; built on each access."""
+        m = self._m
+        return tuple(Fraction(c, m) for c in self._F)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._F) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._F
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        return self._coeffs[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._F):
+            return Fraction(self._F[k], self._m)
         return Fraction(0)
 
     @property
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._F) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -115,58 +106,43 @@ class Polynomial:
 
     @property
     def is_integer_constant(self) -> bool:
-        return self.is_constant and self.coefficient(0).denominator == 1
+        return self.is_constant and self._m == 1
 
     def denominator_lcm(self) -> int:
         """Minimal positive m with m*f having integer coefficients."""
-        m = 1
-        for c in self._coeffs:
-            m = lcm(m, c.denominator)
-        return m
+        return self._m
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs)
-
-    def _integer_form(self) -> tuple:
-        """(F, m): the integer numerators F over the least positive common
-        denominator m, so that f = F/m; computed on first use and kept."""
-        try:
-            return self._int
-        except AttributeError:
-            m = self.denominator_lcm()
-            form = tuple(c.numerator * (m // c.denominator) for c in self._coeffs), m
-            object.__setattr__(self, "_int", form)
-            return form
+        return self._m == 1
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._F == other._F and self._m == other._m
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._F, self._m))
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._F)
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self._coeffs))
+        return _make([-c for c in self._F], self._m)
 
     def __add__(self, other):
         other = self._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        (a, m), (b, n) = (self._F, self._m), (other._F, other._m)
+        # a/m + b/n = (a*n + b*m)/(m*n); _make divides out the common factor
+        out = [c * n for c in a] + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            out[i] += c * m
+        return _make(out, m * n)
 
     __radd__ = __add__
 
@@ -177,26 +153,19 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = self._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return Polynomial.zero()
-        a, m = self._integer_form()
-        b, n = other._integer_form()
+        a, b = self._F, other._F
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        mn = m * n
-        return Polynomial([Fraction(c, mn) for c in out])
+        return _make(out, self._m * other._m)
 
     __rmul__ = __mul__
 
@@ -204,7 +173,8 @@ class Polynomial:
         if isinstance(scalar, (int, Fraction)):
             if scalar == 0:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return Polynomial(tuple(c / Fraction(scalar) for c in self._coeffs))
+            d = scalar.denominator
+            return _make([c * d for c in self._F], self._m * scalar.numerator)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -227,12 +197,13 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         d = other.degree
-        lc = other.leading_coefficient
-        rem = list(self._coeffs)
+        divisor = other.coeffs
+        lc = divisor[-1]
+        rem = list(self.coeffs)
         q = [Fraction(0)] * max(len(rem) - d, 0)
         for k in reversed(range(len(q))):
             q[k] = factor = rem[k + d] / lc
-            for i, c in enumerate(other._coeffs):
+            for i, c in enumerate(divisor):
                 rem[k + i] -= factor * c
         return Polynomial(q), Polynomial(rem[:d])
 
@@ -248,14 +219,11 @@ class Polynomial:
         return (other % self).is_zero
 
     def __call__(self, x):
-        if type(x) is int:  # bool and Fraction points, integral or not, take Fraction Horner
-            F, m = self._integer_form()
-            return Fraction(_horner(F, x), m)
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        # an int point stays in integers; bool, Fraction and other points,
+        # integral or not, take Fraction arithmetic
+        if type(x) is not int:
+            x = Fraction(x)
+        return Fraction(_horner(self._F, x), self._m)
 
     @staticmethod
     def _as_poly(other):
@@ -268,33 +236,52 @@ class Polynomial:
     # -- text --------------------------------------------------------------
 
     def __str__(self):
-        if not self._coeffs:
+        if not self._F:
             return "0"
+        m = self._m
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
+            c = self._F[k]
             if c == 0:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
+            g = gcd(c, m)
+            mag = f"{abs(c) // g}" if g == m else f"{abs(c) // g}/{m // g}"
             if k == 0:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "X" if k == 1 else f"X^{k}"
             else:
                 body = f"{mag}*X" if k == 1 else f"{mag}*X^{k}"
             if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
+                parts.append(body if c > 0 else f"-{body}")
             else:
-                parts.append(f" {sign} {body}")
+                parts.append(f" {'+' if c > 0 else '-'} {body}")
         return "".join(parts)
 
     def __repr__(self):
         return f"Polynomial({str(self)!r})"
 
 
-def _horner(F, x: int) -> int:
-    """The integer coefficient list F, ascending, evaluated at the integer x."""
+def _make(F: list, m: int) -> Polynomial:
+    """The polynomial F/m for integers F (ascending) and m != 0, brought to
+    the stored form: trailing zeros trimmed, m > 0 and gcd(m, F...) = 1."""
+    while F and not F[-1]:
+        F.pop()
+    g = gcd(m, *F)
+    if m < 0:
+        g = -g
+    if g != 1:
+        F = [c // g for c in F]
+        m //= g
+    f = object.__new__(Polynomial)
+    object.__setattr__(f, "_F", tuple(F))
+    object.__setattr__(f, "_m", m)
+    return f
+
+
+def _horner(F, x):
+    """The integer coefficient list F, ascending, evaluated at x: an int at
+    an int point, else a value of x's type."""
     acc = 0
     for c in reversed(F):
         acc = acc * x + c
@@ -449,9 +436,8 @@ def _height(f: Polynomial) -> int:
     denominator m of f and 2^b at least the sum of the absolute values of
     the coefficients of m*f.  Every numerator and denominator of f is at
     most 2^h(f), and h(f*g) <= h(f) + h(g)."""
-    F, m = f._integer_form()
-    norm = sum(map(abs, F))
-    return (m - 1).bit_length() + (max(norm, 1) - 1).bit_length()
+    norm = sum(map(abs, f._F))
+    return (f._m - 1).bit_length() + (max(norm, 1) - 1).bit_length()
 
 
 def _require_height(height: int) -> None:
@@ -515,7 +501,7 @@ class BinomialForm:
 def to_binomial_basis(f: Polynomial) -> BinomialForm:
     """Binomial-basis coefficients: the iterated forward differences of the
     integer values F(0..deg f), each divided by m once."""
-    F, m = f._integer_form()
+    F, m = f._F, f._m
     work = [_horner(F, x) for x in range(f.degree + 1)]
     coeffs = []
     while work:
@@ -671,9 +657,9 @@ def _int_sqrt(h: list):
 def poly_sqrt(h: Polynomial):
     """Exact g with g*g == h and positive leading coefficient, else None.
 
-    With h = F/m in its integer form, h*m^2 = F*m lies in Z[X] and its
+    With h = F/m, h*m^2 = F*m lies in Z[X] and its
     root, if any, is m*g; so the integer recurrence serves rational h too.
     """
-    F, m = h._integer_form()
-    g = _int_sqrt([c * m for c in F])
-    return None if g is None else Polynomial(g) / m
+    m = h._m
+    g = _int_sqrt([c * m for c in h._F])
+    return None if g is None else _make(g, m)

@@ -6,9 +6,11 @@ triple conditions directly, the content oracle sweeps small primes with
 integer arithmetic and decides common divisors through a resultant, and the
 subset-product bound re-derives step minima from pair valuations.
 
-`ReferencePolynomial` is the library's earlier `Polynomial`, which does
-every product, evaluation and binomial transform in `Fraction` arithmetic;
-the integer form of the current class must agree with it.
+`ReferencePolynomial` is the library's earlier `Polynomial`, a tuple of
+`Fraction`s that does every sum, negation, scalar division, product,
+evaluation and binomial transform, and its text, in `Fraction` arithmetic;
+the integer numerators over one denominator of the current class must agree
+with it.
 
 The reference kernels at the end are the library's earlier `v_ordering`,
 `expand_in_basis`, `bounded_search` and membership over all integers: the
@@ -425,7 +427,8 @@ def reference_bounded_search(max_deg: int, max_height: int, budget: int) -> list
 
 class ReferencePolynomial:
     """The earlier `Polynomial`: a tuple of Fractions, trailing zeros trimmed,
-    with Fraction products and Fraction Horner at every point."""
+    with Fraction sums, quotients, products and Fraction Horner at every
+    point."""
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
@@ -442,6 +445,21 @@ class ReferencePolynomial:
         for c in self.coeffs:
             m = m * c.denominator // gcd(m, c.denominator)
         return m
+
+    def __neg__(self):
+        return ReferencePolynomial(-c for c in self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return ReferencePolynomial(out)
+
+    def __truediv__(self, scalar):
+        return ReferencePolynomial(c / Fraction(scalar) for c in self.coeffs)
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -461,6 +479,28 @@ class ReferencePolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k in range(self.degree, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else "+"
+            mag = -c if c < 0 else c
+            if k == 0:
+                body = str(mag)
+            elif mag == 1:
+                body = "X" if k == 1 else f"X^{k}"
+            else:
+                body = f"{mag}*X" if k == 1 else f"{mag}*X^{k}"
+            if not parts:
+                parts.append(body if sign == "+" else f"-{body}")
+            else:
+                parts.append(f" {sign} {body}")
+        return "".join(parts)
 
 
 def reference_to_binomial_basis(f: ReferencePolynomial) -> tuple:

@@ -274,6 +274,20 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and len(json.loads(out)["coefficients"]) == 3
 
+    def test_completion_precision_cap(self, capsys):
+        # 3^(10^7) took about 10 s to build before the point cap refused it
+        start = time.perf_counter()
+        argv = ("representative", "--ideal", "comp:p=3,x=-1,N=10000000", "--poly", "X")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)) == (2, {"error": {"kind": "parse_error", "message": (
+            "bad ideal spec 'comp:p=3,x=-1,N=10000000': precision 3^10000000 "
+            "of size up to 2^20000000 exceeds the cap of 2^8192"
+        )}})
+        # 2^8192 itself is at the cap
+        argv = ("representative", "--ideal", "comp:p=2,x=1,N=8192", "--poly", "X", "--json")
+        assert run_cli(capsys, *argv)[:2] == (0, '{"residue": 1, "verdict": "yes"}\n')
+
     def test_degree_cap(self, capsys):
         # about 2 s without the cap: the binomial transform is O(d^2) in Fractions
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,10 +289,12 @@ def _fraction_constructions(call) -> int:
 
 
 class TestIntegerForm:
-    """Products, evaluation, the binomial transform and the residue image on
-    the integer form agree with the earlier Fraction arithmetic."""
+    """Arithmetic, evaluation, text, the binomial transform and the residue
+    image on integer numerators over one denominator agree with the earlier
+    Fraction arithmetic."""
 
     POINTS = (0, 1, -1, 7, -12, 10**30 + 1, Fraction(3), Fraction(-5, 3), Fraction(7, 11))
+    SCALARS = (1, -1, 6, -35, Fraction(-9, 4), Fraction(2**MAX_HEIGHT - 1, 3))
 
     def _cases(self):
         rng = random.Random(1212)
@@ -314,6 +317,27 @@ class TestIntegerForm:
                 value = f(x)
                 assert type(value) is Fraction and value == ref(x)
             assert to_binomial_basis(f).coeffs == reference_to_binomial_basis(ref)
+
+    def test_sums_quotients_and_text_match_reference_seeded(self):
+        cases = list(self._cases())
+        rng = random.Random(13)
+        for coeffs in cases:
+            other = rng.choice(cases)
+            f, g = Polynomial(coeffs), Polynomial(other)
+            ref, ref_g = ReferencePolynomial(coeffs), ReferencePolynomial(other)
+            assert f.coeffs == ref.coeffs
+            assert (str(f), repr(f)) == (str(ref), f"Polynomial({str(ref)!r})")
+            assert (f == g) == (ref.coeffs == ref_g.coeffs)
+            assert (f + g).coeffs == (ref + ref_g).coeffs
+            assert (f - g).coeffs == (ref + -ref_g).coeffs
+            assert str(-f) == str(-ref) and (-f).coeffs == (-ref).coeffs
+            for scalar in self.SCALARS:
+                assert (f / scalar).coeffs == (ref / scalar).coeffs
+            if not g.is_zero:
+                q, r = divmod(f, g)
+                assert r.degree < g.degree
+                back = ReferencePolynomial(q.coeffs) * ref_g + ReferencePolynomial(r.coeffs)
+                assert back.coeffs == ref.coeffs
 
     def test_residue_image_matches_reference_seeded(self):
         rng = random.Random(34)
@@ -341,6 +365,81 @@ class TestIntegerForm:
         for p, classes in ((2, 2**3), (3, 3**2), (7, 7)):
             g = Polynomial(f.coeffs)
             assert _fraction_constructions(lambda: residue_image(g, p)) == 7 + classes
+
+
+    def test_arithmetic_builds_no_fraction(self):
+        rng = random.Random(78)
+        f = Polynomial(_seeded_coefficients(rng, 6, 20))
+        g = Polynomial(_seeded_coefficients(rng, 4, 20))
+        quarter = Fraction(-9, 4)
+        for call in (
+            lambda: f * g,
+            lambda: f + g,
+            lambda: f - g,
+            lambda: -f,
+            lambda: f / -6,
+            lambda: f / quarter,
+        ):
+            assert _fraction_constructions(call) == 0
+
+
+def _assert_canonical(f: Polynomial) -> None:
+    """f holds integer numerators F with no trailing zero over m > 0 with
+    gcd(m, F...) = 1, and rebuilding it from its coeffs gives an equal
+    polynomial with an equal hash."""
+    F, m = f._F, f._m
+    assert type(F) is tuple and all(type(c) is int for c in F)
+    assert type(m) is int and m > 0 and gcd(m, *F) == 1
+    assert not F or F[-1] != 0
+    rebuilt = Polynomial(f.coeffs)
+    assert rebuilt == f and hash(rebuilt) == hash(f)
+
+
+class TestCanonicalForm:
+    def test_constructors(self):
+        for f in (
+            Polynomial(),
+            Polynomial.zero(),
+            Polynomial.one(),
+            Polynomial.x(),
+            Polynomial.constant(0),
+            Polynomial.constant(Fraction(-6, 4)),
+            Polynomial((0, 0, 0)),
+            Polynomial((Fraction(2, 3), -4, Fraction(0), 0)),
+            Polynomial((True, False, Fraction(-10, 15))),
+            Polynomial((Fraction(6, 4), Fraction(9, 4), Fraction(15, 12))),
+            parse_polynomial("X*(X-1)/2 - X^2/2"),
+            parse_polynomial("-6/4*X^3 + 2/6"),
+            binomial_poly(7),
+            from_binomial_basis([4, -2, 6, 0, 0]),
+        ):
+            _assert_canonical(f)
+
+    def test_operators_seeded(self):
+        rng = random.Random(91)
+        cases = [[], [0], [Fraction(-4, 9)], [2**MAX_HEIGHT - 1, Fraction(1, 2**MAX_HEIGHT - 1)]]
+        cases += [_seeded_coefficients(rng, rng.randrange(0, 6), rng.choice((3, 40))) for _ in range(60)]
+        for coeffs in cases:
+            f, g = Polynomial(coeffs), Polynomial(rng.choice(cases))
+            results = [f, -f, f + g, f - g, g - f, f + (-f), f * g, f * 0, f ** 3, 3 - f, f + 1]
+            results += [f / s for s in (2, -3, Fraction(-4, 9), Fraction(10, 3))]
+            results += [f * f / 6, poly_sqrt(f * f / 6) or Polynomial.zero()]
+            if not g.is_zero:
+                results += [*divmod(f, g), f // g, f % g]
+                if not f.is_zero:
+                    results += bezout_gcd_qx(f, g)
+            for h in results:
+                _assert_canonical(h)
+
+    def test_equal_values_have_one_form(self):
+        # the same polynomial reached by different routes
+        half = Polynomial((0, Fraction(1, 2)))
+        assert (X / 2)._F == half._F == (0, 1) and (X / 2)._m == half._m == 2
+        assert X * 2 / 4 == half and hash(X * 2 / 4) == hash(half)
+        assert (X + 1) - (X + 1) == Polynomial.zero()
+        assert ((X + 1) - (X + 1))._m == 1
+        assert -X / -2 == half
+        assert Polynomial.constant(Fraction(3, 1)) == 3 and Polynomial.constant(0) == 0
 
 
 class TestBezout:

@@ -21,7 +21,7 @@ from intpoly import (
     residue_representative,
     separation_check,
 )
-from intpoly import arith, poly
+from intpoly import arith, poly, spectrum
 from intpoly.poly import MAX_DEGREE as MAX_SEPARATION_DEGREE
 
 X = Polynomial.x()
@@ -60,6 +60,20 @@ class TestIdealSpecs:
         for bad in ["", "pq:", "max:p=2", "foo:p=2", "seq:p=2", "comp:p=2,x=1"]:
             with pytest.raises(InputParseError):
                 parse_ideal(bad)
+
+    def test_completion_cap_admits_every_threshold(self):
+        # a parsed polynomial's denominator p^v is at most 2^MAX_HEIGHT, and
+        # over a finite set its comp: threshold can reach 1 + v
+        E = SubsetDescriptor.finite((0,))
+        for p in (2, 3, 5, 17, 257, 1000003):
+            v = 0
+            while p ** (v + 1) <= 2 ** poly.MAX_HEIGHT:
+                v += 1
+            N = spectrum._completion_threshold(X / p**v, E, p)
+            assert N == 1 + v
+            assert parse_ideal(f"comp:p={p},x=1,N={N}").x.precision == N
+        with pytest.raises(InputParseError, match=r"exceeds the cap of 2\^8192"):
+            parse_ideal("comp:p=2,x=1,N=8193")
 
 
 class TestMembership:
