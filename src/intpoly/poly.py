@@ -137,12 +137,12 @@ class Polynomial:
         other = self._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        (a, m), (b, n) = (self._F, self._m), (other._F, other._m)
-        # a/m + b/n = (a*n + b*m)/(m*n); _make divides out the common factor
-        out = [c * n for c in a] + [0] * (len(b) - len(a))
+        a, b, den = self._F, other._F, lcm(self._m, other._m)
+        u, v = den // self._m, den // other._m
+        out = [c * u for c in a] + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
-            out[i] += c * m
-        return _make(out, m * n)
+            out[i] += c * v
+        return _make(out, den)
 
     __radd__ = __add__
 
