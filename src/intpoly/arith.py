@@ -132,12 +132,6 @@ def _vp(x, p: int):
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-def _residue(x, modulus: int) -> int:
-    """Image of an int or Fraction, with denominator prime to the modulus, in
-    Z/modulus."""
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
-
-
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, u, v) with g = gcd(a, b) > 0 and u*a + v*b = g."""
     if a == 0 and b == 0:
@@ -197,7 +191,8 @@ def padic_residue(x, p: int, precision: int) -> PAdicResidue:
     x = Fraction(x)
     if _vp(x, p) < 0:
         raise DomainError(f"{x} has negative valuation at p={p}")
-    return PAdicResidue(p, _residue(x, p ** precision), precision)
+    modulus = p ** precision
+    return PAdicResidue(p, x.numerator * pow(x.denominator, -1, modulus) % modulus, precision)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import DomainError, _vp, ext_gcd
+from .arith import DomainError, ext_gcd
 from .poly import (
     MAX_RESIDUE_CLASSES,
     Polynomial,
-    _residue_classes,
+    _residue_sweep,
     bezout_gcd_many,
     is_int_valued,
     residue_period_exp,
@@ -344,20 +344,17 @@ def unit_content_decide(entries) -> ContentVerdict:
         # every entry's values mod p are constant on the classes mod p^exp
         exp = max(1, *(residue_period_exp(e, p) for e in entries))
         table = {}
-        for alpha in _residue_classes(p, exp):
-            witness_idx = None
-            for i, e in enumerate(entries):
-                if _vp(e(alpha), p) == 0:
-                    witness_idx = i
-                    break
-            if witness_idx is None:
+        sweeps = zip(*(_residue_sweep(e, p, exp) for e in entries))
+        for alpha, residues in enumerate(sweeps):
+            units = [i for i, r in enumerate(residues) if r]
+            if not units:
                 return ContentVerdict(
                     unit=False,
                     witness_prime=p,
                     witness_residue=alpha,
                     witness_modulus_exp=exp,
                 )
-            table[alpha] = witness_idx
+            table[alpha] = units[0]
         coverage[p] = table
     return ContentVerdict(unit=True, c=c, multipliers=int_mults, coverage=coverage)
 

@@ -307,7 +307,7 @@ def separation_check(f: Polynomial, p: int):
     require_prime(p)
     if _binomial_valuation(f, p) < 0:
         raise DomainError(f"{f} is not integer-valued at p={p}")
-    residues = _residue_sweep(f, p)
+    residues = frozenset(_residue_sweep(f, p, residue_period_exp(f, p)))
     if len(residues) * f.degree > MAX_DEGREE:
         raise DomainError(
             f"the separation product of degree {len(residues) * f.degree} "

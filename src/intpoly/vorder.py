@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
-from math import lcm
+from math import lcm, prod
 
 from .arith import DomainError, _vp, require_prime, vp_int
 from .poly import Polynomial, _binomial_valuation
@@ -148,15 +148,17 @@ def v_ordering(E: SubsetDescriptor, n: int, p: int, tie_break: str = "min") -> V
 
 
 def regular_basis(vord: VOrdering, k: int) -> Polynomial:
-    """The k-th interpolation basis polynomial prod_{j<k}(X - a_j)/(a_k - a_j)."""
+    """The k-th interpolation basis polynomial N_k / N_k(a_k), N_k = prod_{j<k}(X - a_j)."""
     if not 0 <= k <= vord.last_index:
         raise DomainError(f"basis index {k} out of range 0..{vord.last_index}")
-    result = Polynomial.one()
-    a_k = vord.points[k]
-    for j in range(k):
-        a_j = vord.points[j]
-        result = result * Polynomial((-a_j, 1)) / (a_k - a_j)
-    return result
+    points = vord.points[:k + 1]
+    # at the points scaled to integers b_j = D*a_j, both gain D^k, which cancels
+    denominator = lcm(*(a.denominator for a in points))
+    *scaled, b_k = [a.numerator * (denominator // a.denominator) for a in points]
+    numerator = Polynomial.one()
+    for b_j in scaled:
+        numerator = numerator * Polynomial((-b_j, denominator))
+    return numerator / prod(b_k - b_j for b_j in scaled)
 
 
 def expand_in_basis(f: Polynomial, vord: VOrdering) -> list:

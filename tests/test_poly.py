@@ -358,13 +358,14 @@ class TestIntegerForm:
                 lambda: to_binomial_basis(Polynomial(coeffs))
             ) == deg + 1
 
-    def test_residue_image_builds_one_fraction_per_class(self):
-        """One Fraction per class swept, on top of the deg f + 1 of the
-        binomial transform that checks the precondition."""
+    def test_residue_image_builds_no_fraction(self):
+        """Neither the precondition's binomial valuation nor the sweep builds
+        a Fraction."""
         f = from_binomial_basis([3, -1, 4, 1, -5, 9, 2])
-        for p, classes in ((2, 2**3), (3, 3**2), (7, 7)):
+        for p in (2, 3, 7):
             g = Polynomial(f.coeffs)
-            assert _fraction_constructions(lambda: residue_image(g, p)) == 7 + classes
+            assert _fraction_constructions(lambda: residue_image(g, p)) == 0
+            assert residue_image(g, p) == reference_residue_image(ReferencePolynomial(f.coeffs), p)
 
     def test_arithmetic_builds_no_fraction(self):
         rng = random.Random(78)

@@ -192,11 +192,11 @@ class TestSeparation:
             separation_check(X / 2, 2)
 
     def test_preconditions_checked_once(self, monkeypatch):
-        # one transform of f and one of the product; one primality check
+        # one binomial valuation of f and one of the product; one primality check
         transforms, primes = [], []
-        real_transform, real_is_prime = poly.to_binomial_basis, arith.is_prime
+        real_transform, real_is_prime = poly._binomial_numerators, arith.is_prime
         monkeypatch.setattr(
-            poly, "to_binomial_basis", lambda f: transforms.append(f) or real_transform(f)
+            poly, "_binomial_numerators", lambda F: transforms.append(F) or real_transform(F)
         )
         monkeypatch.setattr(arith, "is_prime", lambda p: primes.append(p) or real_is_prime(p))
         residues, ok = separation_check(X * (X - 1) / 2, 2)
