@@ -48,6 +48,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through _make, not __setattr__
+        return _make, (list(self._F), self._m)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -77,6 +79,13 @@ class TestArithmetic:
             for _ in range(n):
                 power = power * f
             assert f ** n == power
+
+    def test_copy_deepcopy_and_pickle(self):
+        for f in (Polynomial.zero(), Polynomial.constant(Fraction(-4, 9)),
+                  Polynomial((2**4096 - 1, Fraction(1, 2**4096 - 3)))):
+            for clone in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert clone == f and hash(clone) == hash(f)
+                assert (clone._F, clone._m) == (f._F, f._m)
 
     def test_evaluation(self):
         f = (X ** 2 + X) / 2
