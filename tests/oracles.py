@@ -7,10 +7,12 @@ integer arithmetic and decides common divisors through a resultant, and the
 subset-product bound re-derives step minima from pair valuations.
 
 `ReferencePolynomial` is the library's earlier `Polynomial`, a tuple of
-`Fraction`s that does every sum, negation, scalar division, product,
-evaluation and binomial transform, and its text, in `Fraction` arithmetic;
-the integer numerators over one denominator of the current class must agree
-with it.
+`Fraction`s that does every sum, negation, scalar division, product, long
+division, evaluation and binomial transform, and its text, in `Fraction`
+arithmetic; the integer numerators over one denominator of the current class
+must agree with it.  The earlier `regular_basis` (one division per factor)
+and the earlier content sweep (one `Fraction` valuation per entry and
+class) are kept beside it.
 
 The reference kernels at the end are the library's earlier `v_ordering`,
 `expand_in_basis`, `bounded_search` and membership over all integers: the
@@ -473,6 +475,19 @@ class ReferencePolynomial:
                 out[i + j] += x * y
         return ReferencePolynomial(out)
 
+    def __divmod__(self, other):
+        """Long division in Fractions, one quotient coefficient per step."""
+        d = other.degree
+        divisor = other.coeffs
+        lc = divisor[-1]
+        rem = list(self.coeffs)
+        q = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in reversed(range(len(q))):
+            q[k] = factor = rem[k + d] / lc
+            for i, c in enumerate(divisor):
+                rem[k + i] -= factor * c
+        return ReferencePolynomial(q), ReferencePolynomial(rem[:d])
+
     def __call__(self, x):
         x = Fraction(x)
         acc = Fraction(0)
@@ -525,3 +540,30 @@ def reference_residue_image(f: ReferencePolynomial, p: int) -> frozenset:
     exp = min(1 + int_valuation(f.denominator_lcm(), p), digits)
     values = (f(x) for x in range(p ** exp))
     return frozenset(v.numerator * pow(v.denominator, -1, p) % p for v in values)
+
+
+def reference_regular_basis(vord: VOrdering, k: int) -> ReferencePolynomial:
+    """prod_{j<k} (X - a_j)/(a_k - a_j), one product and one division per
+    factor."""
+    result = ReferencePolynomial((1,))
+    a_k = vord.points[k]
+    for j in range(k):
+        a_j = vord.points[j]
+        result = result * ReferencePolynomial((-a_j, 1)) / (a_k - a_j)
+    return result
+
+
+def reference_content_sweep(entries, p: int, exp: int):
+    """The coverage table of the classes 0 .. p^exp - 1, each mapped to the
+    first entry that is a p-unit there, and the first class where none is
+    (None when every class is covered), from Fraction values of the
+    integer-valued entries, each given by its coefficients."""
+    entries = [ReferencePolynomial(coeffs) for coeffs in entries]
+    table = {}
+    for alpha in range(p ** exp):
+        values = [e(alpha) for e in entries]
+        units = [i for i, v in enumerate(values) if v and frac_valuation(v, p) == 0]
+        if not units:
+            return table, alpha
+        table[alpha] = units[0]
+    return table, None

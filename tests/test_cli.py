@@ -327,6 +327,13 @@ class TestExitCodes:
         assert run_cli(capsys, *argv) == (0, '{"verdict": "yes"}\n', "")
         assert time.perf_counter() - start < 1.0
 
+    def test_pq_membership_with_a_large_denominator(self, capsys):
+        # the division of X^300 by X + 1/2^2000 ran past 20 s in Fractions
+        start = time.perf_counter()
+        argv = ("ideal", "member", "--ideal", "pq:X + 1/2^2000", "--poly", "X^300", "--json")
+        assert run_cli(capsys, *argv) == (0, '{"verdict": "no"}\n', "")
+        assert time.perf_counter() - start < 10.0
+
     @pytest.mark.parametrize("blob", ['{"beta": "X"}', "null", "[1, 2]", '{"beta": 5}'])
     def test_malformed_certificate_is_parse_error(self, capsys, monkeypatch, blob):
         monkeypatch.setattr("sys.stdin", io.StringIO(blob))

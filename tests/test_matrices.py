@@ -28,9 +28,28 @@ from intpoly.matrices import (
     poly_trace,
 )
 from intpoly.poly import MAX_RESIDUE_CLASSES
-from oracles import content_oracle_unit, int_det, int_mat_mul, prime_factors
+from oracles import (
+    content_oracle_unit,
+    int_det,
+    int_valuation,
+    int_mat_mul,
+    prime_factors,
+    reference_content_sweep,
+)
 
 X = Polynomial.x()
+
+
+def _period_exp(entries, p: int) -> int:
+    """The classes mod p^N of one content sweep: N = max(1, N_e) over the
+    entries, N_e = min(1 + v_p(m_e), the number of base-p digits of deg e)."""
+    exp = 1
+    for e in entries:
+        digits = 0
+        while p ** digits <= e.degree:
+            digits += 1
+        exp = max(exp, min(1 + int_valuation(e.denominator_lcm(), p), digits))
+    return exp
 
 
 def check_snf_postconditions(A, result):
@@ -230,6 +249,51 @@ class TestUnitContent:
             verdict = unit_content_decide((f, g))
             assert verdict.unit == content_oracle_unit(fc, gc)
 
+
+    def test_sweep_matches_fraction_reference_seeded(self):
+        # coverage tables and residue witnesses against one Fraction valuation
+        # per entry and class.  Entries are binomial combinations of degree up
+        # to p + 1, whose denominators carry p and lengthen the period, taken
+        # as they are, times p, times p plus a unit, or times X - a
+        seen = set()
+        for p in (2, 3, 5, 7):
+            rng = random.Random(1400 + p)
+            for _ in range(40):
+                a = rng.randrange(p)
+                entries = []
+                for _ in range(rng.randrange(2, 4)):
+                    e = from_binomial_basis(
+                        [rng.randint(-5, 5) for _ in range(rng.randrange(1, p + 3))]
+                    )
+                    r = rng.random()
+                    if r < 0.3:
+                        e = e * p
+                    elif r < 0.5:
+                        e = e * p + rng.choice((1, -1, p + 1))
+                    elif r < 0.7:
+                        e = e * (X - a)
+                    entries.append(e)
+                if all(e.is_zero for e in entries):
+                    continue
+                try:
+                    verdict = unit_content_decide(entries)
+                except DomainError:
+                    continue  # a content prime above the sweep cap
+                coeffs = [e.coeffs for e in entries]
+                if verdict.unit:
+                    for q, table in verdict.coverage.items():
+                        exp = _period_exp(entries, q)
+                        assert (table, None) == reference_content_sweep(coeffs, q, exp)
+                        seen.add((q, "unit", exp))
+                elif verdict.witness_prime is not None:
+                    q, exp = verdict.witness_prime, verdict.witness_modulus_exp
+                    assert exp == _period_exp(entries, q)
+                    _, witness = reference_content_sweep(coeffs, q, exp)
+                    assert witness == verdict.witness_residue
+                    seen.add((q, "residue", exp))
+        assert {(p, "unit") for p in (2, 3, 5, 7)} <= {s[:2] for s in seen}
+        assert {(p, "residue") for p in (2, 3, 5)} <= {s[:2] for s in seen}
+        assert max(exp for _, _, exp in seen) >= 3
 
     def test_verdicts_agree_with_membership_seeded(self):
         # the paper's identity: a class that a unit certificate covers with

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -96,6 +97,57 @@ class TestArithmetic:
         assert Polynomial((1, 2, 0, 0)).degree == 1
         assert Polynomial.zero().degree == -1
         assert Polynomial.zero().is_zero
+
+
+def _division_pairs(rng):
+    """Dividend and divisor coefficient lists: a zero dividend, deg f < deg g,
+    constant divisors, sparse divisors with leading coefficients up to
+    2^2000 of either sign, and monic divisors with large denominators."""
+    def small(deg):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(deg + 1)]
+
+    for _ in range(12):
+        yield [], small(rng.randrange(0, 5))
+        yield small(rng.randrange(0, 3)), small(rng.randrange(3, 7))
+        yield small(rng.randrange(0, 12)), [Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**64),
+                                                     rng.randint(1, 99))]
+        deg = rng.randrange(1, 8)
+        sparse = [0] * deg + [rng.choice((-1, 1)) * rng.randint(1, 2**2000)]
+        for k in rng.sample(range(deg), min(deg, 2)):
+            sparse[k] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        yield small(rng.randrange(deg, deg + 12)), sparse
+        monic = [Fraction(rng.randint(-3, 3), 2 ** rng.randint(0, 2000)) for _ in range(deg)] + [1]
+        yield small(rng.randrange(deg, deg + 12)), monic
+
+
+class TestDivision:
+    """`divmod` on integer numerators against the earlier Fraction long
+    division, and the divisions that took minutes in Fractions."""
+
+    def test_matches_reference_seeded(self):
+        rng = random.Random(1414)
+        for fc, gc in _division_pairs(rng):
+            q, r = divmod(Polynomial(fc), Polynomial(gc))
+            ref_q, ref_r = divmod(ReferencePolynomial(fc), ReferencePolynomial(gc))
+            assert (q.coeffs, r.coeffs) == (ref_q.coeffs, ref_r.coeffs)
+            _assert_canonical(q)
+            _assert_canonical(r)
+
+    @pytest.mark.parametrize("f, g, cap", [
+        # parent: 118, 37, 4.0 and 4.2 s in Fraction long division (Python 3.11, 2-core Xeon)
+        ("X^300", "X + 1/2^2000", 8.0),
+        ("X^300 + 3", "X^2 + X/2^1000 + 1", 8.0),
+        ("(X+1)^300/3^100", "2^2000*X^7 + 5*X + 1", 2.0),
+        ("(X+1)^300/3^100", "X^7 + X/2^2000 + 1/2^2000", 2.0),
+    ])
+    def test_large_scales_timed(self, f, g, cap):
+        f, g = parse_polynomial(f), parse_polynomial(g)
+        start = time.perf_counter()
+        q, r = divmod(f, g)
+        assert time.perf_counter() - start < cap
+        assert q.degree == f.degree - g.degree and r.degree < g.degree
+        for x in (2, -3):
+            assert q(x) * g(x) + r(x) == f(x)
 
 
 class TestTextFormat:
@@ -388,6 +440,7 @@ class TestIntegerForm:
             lambda: -f,
             lambda: f / -6,
             lambda: f / quarter,
+            lambda: divmod(f, g),
         ):
             assert _fraction_constructions(call) == 0
 

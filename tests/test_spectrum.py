@@ -18,6 +18,7 @@ from intpoly import (
     ideal_membership,
     padic_residue,
     parse_ideal,
+    residue_image,
     residue_representative,
     separation_check,
 )
@@ -209,12 +210,19 @@ class TestSeparation:
             separation_check(X, 307)
 
     def test_random_int_valued(self):
+        # the product test holds on every valid input: integer-valued f, and
+        # f integer-valued at p only, with binomial denominators prime to p
         rng = random.Random(32)
         for _ in range(15):
             f = random_int_valued(rng)
-            for p in (2, 3, 5):
-                _, ok = separation_check(f, p)
-                assert ok
+            for p in (2, 3, 5, 7):
+                local = from_binomial_basis(
+                    [Fraction(rng.randint(-9, 9), rng.choice([d for d in (1, 2, 3, 5, 7) if d != p]))
+                     for _ in range(rng.randrange(1, 7))]
+                )
+                for g in (f, local):
+                    residues, ok = separation_check(g, p)
+                    assert ok and residues == residue_image(g, p)
 
 
 class TestSpectrumCoherence:

@@ -26,6 +26,7 @@ from oracles import (
     pairwise_product_minima,
     reference_expand_in_basis,
     reference_int_membership_all_integers,
+    reference_regular_basis,
     reference_v_ordering,
 )
 
@@ -213,6 +214,17 @@ class TestRegularBasis:
                 assert fk(vord.points[j]) == 0
             for x in vord.E.points:
                 assert vp(fk(x), 2) >= 0
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_matches_reference_seeded(self, p):
+        # N_k / N_k(a_k) against one division per factor, on every index of
+        # seeded finite orderings and of the ordering 0..n over Z
+        rng = random.Random(5000 + p)
+        orderings = [v_ordering(finite(*pts), 15, p) for pts in _sixteen_point_sets(rng, p)]
+        orderings.append(v_ordering(ALL_INTEGERS, 40, p))
+        for vord in orderings:
+            for k in range(len(vord)):
+                assert regular_basis(vord, k).coeffs == reference_regular_basis(vord, k).coeffs
 
     def test_index_out_of_range(self):
         vord = v_ordering(finite(0, 1), 1, 2)
