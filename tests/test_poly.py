@@ -134,7 +134,7 @@ class TestDivision:
             _assert_canonical(r)
 
     @pytest.mark.parametrize("f, g, cap", [
-        # parent: 118, 37, 4.0 and 4.2 s in Fraction long division (Python 3.11, 2-core Xeon)
+        # 110, 37, 4.0 and 4.2 s in Fraction long division (Python 3.11, 2-core Xeon)
         ("X^300", "X + 1/2^2000", 8.0),
         ("X^300 + 3", "X^2 + X/2^1000 + 1", 8.0),
         ("(X+1)^300/3^100", "2^2000*X^7 + 5*X + 1", 2.0),
