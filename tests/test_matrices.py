@@ -167,6 +167,19 @@ class TestUnitContent:
         with pytest.raises(DomainError):
             unit_content_decide((X / 2,))
 
+    def test_sweep_builds_no_fraction_per_class(self):
+        # X^2 + 1 has no root mod p = 3 mod 4, so every class is swept; the
+        # Fractions of the Bezout step do not grow with the p classes
+        from test_poly import _fraction_constructions
+
+        counts = set()
+        for p in (3, 7, 10007):
+            entries = (Polynomial.constant(p), X ** 2 + 1)
+            verdict = unit_content_decide(entries)
+            assert verdict.unit and len(verdict.coverage[p]) == p
+            counts.add(_fraction_constructions(lambda: unit_content_decide(entries)))
+        assert len(counts) == 1
+
     def test_sweep_cap(self):
         # c = 1000003 is prime: its class sweep is over the cap
         with pytest.raises(DomainError, match=f"cap of {MAX_RESIDUE_CLASSES} classes"):

@@ -28,6 +28,7 @@ from intpoly.poly import (
     MAX_RESIDUE_CLASSES,
     _height,
     _Parser,
+    _binomial_valuation,
     _tokenize,
     bezout_gcd_many,
     binomial_poly,
@@ -441,6 +442,8 @@ class TestIntegerForm:
             lambda: f / -6,
             lambda: f / quarter,
             lambda: divmod(f, g),
+            lambda: is_int_valued(f),
+            lambda: _binomial_valuation(f, 3),
         ):
             assert _fraction_constructions(call) == 0
 
