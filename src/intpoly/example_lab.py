@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
+from math import lcm
 
 from .arith import DomainError, InputParseError
 from .matrices import (
@@ -20,7 +21,15 @@ from .matrices import (
     poly_trace,
     unit_content_decide,
 )
-from .poly import Polynomial, _int_sqrt, is_int_valued, parse_polynomial, poly_sqrt
+from .poly import (
+    Polynomial,
+    _divides_values,
+    _int_sqrt,
+    _make,
+    is_int_valued,
+    parse_polynomial,
+    poly_sqrt,
+)
 
 X = Polynomial.x()
 
@@ -97,13 +106,17 @@ class ExampleCertificate:
 
 def reduce_relation(beta: Polynomial, gamma: Polynomial):
     """The reduction step: f = (X+1)*beta + X*gamma - 1 and the discriminant
-    f^2 - 24*beta*gamma whose squareness governs solvability."""
+    f^2 - 24*beta*gamma whose squareness governs solvability.  Over the
+    common denominator m, beta = B/m and gamma = C/m, and m*f and m^2*disc
+    are `_int_relation(B, C, m)`."""
     for name, q in (("beta", beta), ("gamma", gamma)):
         if not is_int_valued(q):
             raise DomainError(f"{name} = {q} is not integer-valued")
-    f = (X + 1) * beta + X * gamma - 1
-    disc = f * f - 24 * beta * gamma
-    return f, disc
+    m = lcm(beta._m, gamma._m)
+    f, disc = _int_relation(
+        [c * (m // beta._m) for c in beta._F], [c * (m // gamma._m) for c in gamma._F], m
+    )
+    return _make(f, m), _make(disc, m * m)
 
 
 def recover_solution(
@@ -209,16 +222,16 @@ def verify_known_solution() -> ExampleCertificate:
     raise DomainError(f"known solution failed for both signs: {failure}")
 
 
-def _int_relation(beta: tuple, gamma: tuple):
-    """reduce_relation on integer coefficient tuples (ascending, trimmed):
-    f = (X+1)*beta + X*gamma - 1 and disc = f^2 - 24*beta*gamma."""
+def _int_relation(beta, gamma, m: int = 1):
+    """The relation on integer coefficient lists (ascending, trimmed):
+    f = (X+1)*beta + X*gamma - m and disc = f^2 - 24*beta*gamma."""
     f = [0] * (max(len(beta), len(gamma)) + 1)
     for k, b in enumerate(beta):
         f[k] += b
         f[k + 1] += b
     for k, c in enumerate(gamma):
         f[k + 1] += c
-    f[0] -= 1
+    f[0] -= m
     while f and not f[-1]:
         f.pop()
     disc = [0] * max(2 * len(f) - 1, len(beta) + len(gamma) - 1, 0)
@@ -236,24 +249,13 @@ def _int_relation(beta: tuple, gamma: tuple):
 
 def _u_int_valued(f: list, g: list, sign: int) -> bool:
     """Whether u = (sign*g - 5f)/12 is integer-valued, on integer
-    coefficient lists: every forward difference of sign*g - 5f at 0 must be
-    divisible by 12."""
+    coefficient lists: 12 must divide w = sign*g - 5f at 0, ..., deg w."""
     w = [0] * max(len(f), len(g))
     for k, c in enumerate(g):
         w[k] += sign * c
     for k, c in enumerate(f):
         w[k] -= 5 * c
-    values = []
-    for x in range(len(w)):
-        acc = 0
-        for c in reversed(w):
-            acc = acc * x + c
-        values.append(acc)
-    while values:
-        if values[0] % 12:
-            return False
-        values = [b - a for a, b in zip(values, values[1:])]
-    return True
+    return _divides_values(w, 12)
 
 
 def _box(deg, height: int, shell: bool = False):

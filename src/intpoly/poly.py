@@ -10,7 +10,8 @@ and primitive part of Cohen, "A Course in Computational Algebraic Number
 Theory", section 3.1; degrees stay small, so the layout is dense.
 
 Arithmetic, `divmod`, the integrality tests and the residue sweep run on
-integers; results reduce by one gcd when they are built.  Fractions are
+integers; the integrality tests read the values F(0), ..., F(deg f).
+Results reduce by one gcd when they are built.  Fractions are
 built only where a value leaves the class: `coeffs`, `coefficient`,
 `leading_coefficient`, `constant_value`, the value of `__call__` and
 `to_binomial_basis`, which divides the integer forward differences by m.
@@ -509,27 +510,38 @@ class BinomialForm:
         return iter(self.coeffs)
 
 
-def _binomial_numerators(F) -> list:
-    """m times the binomial-basis coefficients of F/m: F's forward differences at 0."""
+def to_binomial_basis(f: Polynomial) -> BinomialForm:
+    """Binomial-basis coefficients: F's forward differences at 0, over m."""
+    F = f._F
     out = [_horner(F, x) for x in range(len(F))]
     for k in range(1, len(out)):  # out[k:] becomes the k-th differences
         for i in range(len(out) - 1, k - 1, -1):
             out[i] -= out[i - 1]
-    return out
-
-
-def to_binomial_basis(f: Polynomial) -> BinomialForm:
-    """Binomial-basis coefficients: F's forward differences over m."""
-    return BinomialForm(tuple(Fraction(c, f._m) for c in _binomial_numerators(f._F)))
+    return BinomialForm(tuple(Fraction(c, f._m) for c in out))
 
 
 def from_binomial_basis(coeffs) -> Polynomial:
     return BinomialForm(tuple(Fraction(c) for c in coeffs)).to_polynomial()
 
 
+def _divides_values(F, m: int) -> bool:
+    """Whether m divides F(0), ..., F(len F - 1), stopping at the first value
+    it does not divide: for F of degree below len F, whether F/m is
+    integer-valued (Polya).  Horner is inline because a call per point
+    costs the search more calls than the early stop saves."""
+    top = F[::-1]
+    for x in range(len(F)):
+        acc = 0
+        for c in top:
+            acc = acc * x + c
+        if acc % m:
+            return False
+    return True
+
+
 def is_int_valued(f: Polynomial) -> bool:
-    """Whether f maps Z into Z: m divides every forward difference of F at 0."""
-    return f._m == 1 or all(c % f._m == 0 for c in _binomial_numerators(f._F))
+    """Whether f maps Z into Z: m divides F(0), ..., F(deg f)."""
+    return f._m == 1 or _divides_values(f._F, f._m)
 
 
 def residue_period_exp(f: Polynomial, p: int) -> int:
@@ -551,10 +563,12 @@ def residue_period_exp(f: Polynomial, p: int) -> int:
 
 
 def _binomial_valuation(f: Polynomial, p: int):
-    """The least v_p of f on Z, INF for f = 0: min_k v_p(c_k) over the
-    binomial coefficients c_k of f, which span the integer-valued
-    polynomials (Polya).  The prime is not checked."""
-    values = [vp_int(c, p) for c in _binomial_numerators(f._F) if c]
+    """The least v_p of f on Z, INF for f = 0: min v_p(F(x)) - v_p(m) over
+    x = 0 .. deg f.  These values and the binomial coefficients of F are
+    integer combinations of each other (Polya), so it is also the least v_p
+    of the binomial coefficients of f.  The prime is not checked."""
+    F = f._F
+    values = [vp_int(c, p) for c in [_horner(F, x) for x in range(len(F))] if c]
     return min(values) - vp_int(f._m, p) if values else INF
 
 

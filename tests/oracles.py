@@ -15,12 +15,13 @@ and the earlier content sweep (one `Fraction` valuation per entry and
 class) are kept beside it.
 
 The reference kernels at the end are the library's earlier `v_ordering`,
-`expand_in_basis`, `bounded_search` and membership over all integers: the
-first two recompute every candidate's whole difference product at each step
-and build every basis polynomial, the search builds every candidate pair's
-polynomials and certificate attempt, and the membership test sweeps the
-residues of f for the maximal-ideal layer.  The faster kernels must give the
-same results.  The integer matrix helpers check Smith normal form transforms.
+`expand_in_basis`, `bounded_search`, `reduce_relation` and membership over
+all integers: the first two recompute every candidate's whole difference
+product at each step and build every basis polynomial, the search builds
+every candidate pair's polynomials and certificate attempt, the relation is
+computed with `Polynomial` operators, and the membership test sweeps the
+residues of f for the maximal-ideal layer.  The faster kernels must give the same results.  The
+integer matrix helpers check Smith normal form transforms.
 """
 from __future__ import annotations
 
@@ -422,6 +423,18 @@ def reference_bounded_search(max_deg: int, max_height: int, budget: int) -> list
             except SolutionFailure:
                 continue
     return results
+
+
+def reference_reduce_relation(beta, gamma):
+    """f = (X+1)*beta + X*gamma - 1 and f^2 - 24*beta*gamma with Polynomial
+    operators, for beta and gamma whose reference binomial coefficients are
+    all integers."""
+    for name, q in (("beta", beta), ("gamma", gamma)):
+        if any(c.denominator != 1 for c in reference_to_binomial_basis(ReferencePolynomial(q.coeffs))):
+            raise DomainError(f"{name} = {q} is not integer-valued")
+    X = Polynomial.x()
+    f = (X + 1) * beta + X * gamma - 1
+    return f, f * f - 24 * beta * gamma
 
 
 # -- the Fraction-arithmetic polynomial -------------------------------------------

@@ -27,7 +27,7 @@ from intpoly.example_lab import (
 )
 from intpoly.matrices import poly_det2, poly_mat_mul, poly_matrix, poly_trace
 from intpoly.poly import _int_sqrt
-from oracles import reference_bounded_search, reference_visited_pairs
+from oracles import reference_bounded_search, reference_reduce_relation, reference_visited_pairs
 
 X = Polynomial.x()
 ZERO = Polynomial.zero()
@@ -48,6 +48,35 @@ class TestReduceRelation:
     def test_membership_guard(self):
         with pytest.raises(DomainError):
             reduce_relation(X / 2, ZERO)
+
+    def test_matches_reference_seeded(self):
+        # integer and rational integer-valued pairs, and pairs that are not
+        # integer-valued, which both refuse
+        rng = random.Random(85)
+
+        def draw():
+            kind = rng.randrange(5)
+            deg = rng.randrange(0, 7)
+            if kind == 0:
+                return Polynomial([rng.randint(-9, 9) for _ in range(deg)])
+            if kind == 1:
+                return Polynomial([rng.randint(-2**64, 2**64) for _ in range(deg)])
+            u = from_binomial_basis([rng.randint(-9, 9) for _ in range(deg)])
+            return u if kind < 4 else u + X ** rng.randrange(0, 4) / rng.choice((2, 3, 12))
+
+        refused = rational = 0
+        for _ in range(400):
+            beta, gamma = draw(), draw()
+            try:
+                want = reference_reduce_relation(beta, gamma)
+            except DomainError:
+                refused += 1
+                with pytest.raises(DomainError):
+                    reduce_relation(beta, gamma)
+                continue
+            assert reduce_relation(beta, gamma) == want
+            rational += not (beta.has_integer_coeffs() and gamma.has_integer_coeffs())
+        assert refused > 50 and rational > 100
 
 
 class TestRecoverSolution:
@@ -228,7 +257,7 @@ class TestIntegerKernel:
         pairs = squares = 0
         for beta, gamma in _sampled_pairs():
             pairs += 1
-            f, disc = reduce_relation(beta, gamma)
+            f, disc = reference_reduce_relation(beta, gamma)
             f_int, disc_int = _int_relation(_ints(beta), _ints(gamma))
             assert Polynomial(f_int) == f and Polynomial(disc_int) == disc
             assert list(_ints(disc)) == disc_int

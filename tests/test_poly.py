@@ -21,7 +21,7 @@ from intpoly import (
     residue_image,
     to_binomial_basis,
 )
-from intpoly.arith import vp_int
+from intpoly.arith import INF, vp_int
 from intpoly.poly import (
     MAX_DEGREE,
     MAX_HEIGHT,
@@ -34,7 +34,12 @@ from intpoly.poly import (
     binomial_poly,
 )
 
-from oracles import ReferencePolynomial, reference_residue_image, reference_to_binomial_basis
+from oracles import (
+    ReferencePolynomial,
+    frac_valuation,
+    reference_residue_image,
+    reference_to_binomial_basis,
+)
 
 X = Polynomial.x()
 
@@ -284,6 +289,30 @@ class TestIntValued:
         f = (X ** 2 + X) / 2
         m = f.denominator_lcm()
         assert is_int_valued(f) and m == 2 ** vp_int(m, 2) and vp_int(m, 2) == 1
+
+    def test_matches_reference_seeded(self):
+        # integrality and the least valuation on Z, against the reference
+        # binomial coefficients: all integers, and their least v_p
+        rng = random.Random(36)
+        for p in (2, 3, 5, 7):
+            cases = [Polynomial.zero(), Polynomial.constant(p), Polynomial.constant(Fraction(1, p))]
+            for m in (1, 2, 12, p, p * p):
+                for _ in range(12):
+                    deg = rng.randrange(0, 8)
+                    big = rng.random() < 0.25  # numerators near 2^4096
+                    F = [rng.randint(-9, 9) + (2**4096 - rng.randrange(2**20) if big else 0)
+                         for _ in range(deg + 1)]
+                    cases.append(Polynomial([Fraction(c, m) for c in F]))
+                    binomial = [Fraction(rng.randint(-9, 9), rng.choice((1, m))) for _ in range(deg + 1)]
+                    cases.append(from_binomial_basis(binomial) * rng.choice((1, p, p * p)))
+            valued = 0
+            for f in cases:
+                ref = reference_to_binomial_basis(ReferencePolynomial(f.coeffs))
+                assert is_int_valued(f) == all(c.denominator == 1 for c in ref)
+                least = min((frac_valuation(c, p) for c in ref if c), default=INF)
+                assert _binomial_valuation(f, p) == least
+                valued += is_int_valued(f) and not f.has_integer_coeffs()
+            assert valued > 10
 
     def test_values_are_integers(self):
         rng = random.Random(7)

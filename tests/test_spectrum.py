@@ -193,16 +193,22 @@ class TestSeparation:
             separation_check(X / 2, 2)
 
     def test_preconditions_checked_once(self, monkeypatch):
-        # one binomial valuation of f and one of the product; one primality check
-        transforms, primes = [], []
-        real_transform, real_is_prime = poly._binomial_numerators, arith.is_prime
-        monkeypatch.setattr(
-            poly, "_binomial_numerators", lambda F: transforms.append(F) or real_transform(F)
-        )
+        # one binomial valuation of f and one of the product; one primality check.
+        # The valuation is spied on under both names, so that one reached
+        # through a poly helper such as residue_image is counted too
+        valuations, primes = [], []
+        real_valuation, real_is_prime = poly._binomial_valuation, arith.is_prime
+
+        def valuation(f, p):
+            valuations.append(f)
+            return real_valuation(f, p)
+
+        monkeypatch.setattr(poly, "_binomial_valuation", valuation)
+        monkeypatch.setattr(spectrum, "_binomial_valuation", valuation)
         monkeypatch.setattr(arith, "is_prime", lambda p: primes.append(p) or real_is_prime(p))
         residues, ok = separation_check(X * (X - 1) / 2, 2)
         assert residues == {0, 1} and ok
-        assert (len(transforms), primes) == (2, [2])
+        assert (len(valuations), primes) == (2, [2])
 
     def test_product_cap(self):
         # |R| * deg f = 307 > MAX_SEPARATION_DEGREE: refused before the product is built
