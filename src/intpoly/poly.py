@@ -216,12 +216,15 @@ class Polynomial:
             Q[k] = c = R[k + d] // a
             for i in range(d):
                 R[k + i] -= c * G[i]
-        # Q[k] takes the later steps' growth; f = F/m, g = G/n: q = Q*n/(S*m)
-        later = other._m
+        # Q[k] takes the later steps' growth; f = F/m, g = G/n: q = Q*n/(S*m),
+        # with gcd(n, S) divided out first so that _make does not divide it
+        # out of every numerator
+        common = gcd(other._m, S)
+        later = other._m // common
         for k, s in enumerate(growth):
             Q[k] *= later
             later *= s
-        return _make(Q, S * self._m), _make(R[:d], S * self._m)
+        return _make(Q, S // common * self._m), _make(R[:d], S * self._m)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
