@@ -16,7 +16,6 @@ from itertools import combinations
 from .arith import INF, DomainError, _vp, require_prime
 from .poly import Polynomial
 
-
 class WindowClass(Enum):
     PSEUDO_CONVERGENT = "pseudo_convergent"
     PSEUDO_DIVERGENT = "pseudo_divergent"
@@ -66,23 +65,6 @@ def _strictly_decreasing(vals) -> bool:
     return all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def _classify_points(pts, p: int) -> WindowClass:
-    gaps = [_vp(pts[i + 1] - pts[i], p) for i in range(len(pts) - 1)]
-    if _strictly_increasing(gaps):
-        return WindowClass.PSEUDO_CONVERGENT
-    if _strictly_decreasing(gaps):
-        return WindowClass.PSEUDO_DIVERGENT
-    last = len(pts) - 1
-    constrained = {
-        _vp(pts[j] - pts[i], p)
-        for i, j in combinations(range(len(pts)), 2)
-        if (i, j) != (0, last)
-    }
-    if len(constrained) == 1:
-        return WindowClass.PSEUDO_STATIONARY
-    return WindowClass.NONE
-
-
 def classify_window(w: SeqWindow) -> WindowClass:
     """Classify by the consecutive-difference reduction.
 
@@ -94,7 +76,20 @@ def classify_window(w: SeqWindow) -> WindowClass:
     points never appears in a triple (it would need an index below the first
     or above the last) and so is genuinely unconstrained.
     """
-    return _classify_points(w.points, w.p)
+    gaps = w.gap_valuations()
+    if _strictly_increasing(gaps):
+        return WindowClass.PSEUDO_CONVERGENT
+    if _strictly_decreasing(gaps):
+        return WindowClass.PSEUDO_DIVERGENT
+    pts, last = w.points, len(w) - 1
+    constrained = {
+        _vp(pts[j] - pts[i], w.p)
+        for i, j in combinations(range(len(pts)), 2)
+        if (i, j) != (0, last)
+    }
+    if len(constrained) == 1:
+        return WindowClass.PSEUDO_STATIONARY
+    return WindowClass.NONE
 
 
 def is_pseudo_limit(x, w: SeqWindow) -> bool:
@@ -128,19 +123,25 @@ def image_window_classify(f: Polynomial, w: SeqWindow):
     """Push the window through f and find where the image turns pseudo-convergent.
 
     Returns (suffix_start, window_class, dichotomy): the smallest index from
-    which the image points are pairwise distinct and classify as
+    which at least three image points are pairwise distinct and classify as
     pseudo-convergent (len(w) if none), and the observed behavior of the
     image valuations v(f(x_n)) on that suffix.
+
+    A suffix qualifies exactly when its consecutive gaps increase strictly
+    and the last one is finite: the gaps before it are then finite too, and
+    each v(y_j - y_i) equals the gap at i.  So the gaps are taken once and
+    walked back from the end.
     """
     if f.is_zero:
         raise DomainError("image classification needs a nonzero polynomial")
     images = [f(x) for x in w.points]
     n = len(images)
-    for start in range(n - 2):
-        tail = images[start:]
-        if len(set(tail)) != len(tail):
-            continue
-        if _classify_points(tail, w.p) is WindowClass.PSEUDO_CONVERGENT:
-            vals = [_vp(y, w.p) for y in tail]
-            return start, WindowClass.PSEUDO_CONVERGENT, _observed_dichotomy(vals)
-    return n, WindowClass.NONE, ImageDichotomy.UNDETERMINED
+    gaps = [_vp(b - a, w.p) for a, b in zip(images, images[1:])]
+    start = n - 2
+    if gaps[-1] is not INF:
+        while start and gaps[start - 1] < gaps[start]:
+            start -= 1
+    if start > n - 3:
+        return n, WindowClass.NONE, ImageDichotomy.UNDETERMINED
+    vals = [_vp(y, w.p) for y in images[start:]]
+    return start, WindowClass.PSEUDO_CONVERGENT, _observed_dichotomy(vals)

@@ -15,12 +15,14 @@ and the earlier content sweep (one `Fraction` valuation per entry and
 class) are kept beside it.
 
 The reference kernels at the end are the library's earlier `v_ordering`,
-`expand_in_basis`, `bounded_search`, `reduce_relation` and membership over
-all integers: the first two recompute every candidate's whole difference
-product at each step and build every basis polynomial, the search builds
-every candidate pair's polynomials and certificate attempt, the relation is
-computed with `Polynomial` operators, and the membership test sweeps the
-residues of f for the maximal-ideal layer.  The faster kernels must give the same results.  The
+`expand_in_basis`, `bounded_search`, `reduce_relation`,
+`image_window_classify` and membership over all integers: the first two
+recompute every candidate's whole difference product at each step and build
+every basis polynomial, the search builds every candidate pair's
+polynomials and certificate attempt, the relation is computed with
+`Polynomial` operators, the image classification classifies every suffix of
+the image in turn, and the membership test sweeps the residues of f for the
+maximal-ideal layer.  The faster kernels must give the same results.  The
 integer matrix helpers check Smith normal form transforms.
 """
 from __future__ import annotations
@@ -435,6 +437,27 @@ def reference_reduce_relation(beta, gamma):
     X = Polynomial.x()
     f = (X + 1) * beta + X * gamma - 1
     return f, f * f - 24 * beta * gamma
+
+
+def reference_image_window_classify(f, points, p: int) -> tuple:
+    """(suffix start, class, dichotomy) as strings: the first suffix of at
+    least three pairwise-distinct image points that the triple oracle calls
+    pseudo-convergent, tried from the start one by one, and the tail
+    behavior of the image valuations on it."""
+    images = [Fraction(f(x)) for x in points]
+    for start in range(len(images) - 2):
+        tail = images[start:]
+        if len(set(tail)) != len(tail) or classify_triples(tail, p) != "pseudo_convergent":
+            continue
+        vals = [frac_valuation(y, p) if y else INF for y in tail]
+        if all(a < b for a, b in zip(vals, vals[1:])):
+            dichotomy = "increasing"
+        elif vals[-1] == vals[-2] and vals[-1] is not INF:
+            dichotomy = "eventually_constant"
+        else:
+            dichotomy = "undetermined"
+        return start, "pseudo_convergent", dichotomy
+    return len(images), "none", "undetermined"
 
 
 # -- the Fraction-arithmetic polynomial -------------------------------------------

@@ -268,6 +268,17 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, json.loads(out)) == (2, {"error": {"kind": "parse_error", "message": message}})
 
+    def test_imageclass_window_of_1600_points(self, capsys):
+        # classifying every suffix anew, with its pairwise check, took 31 s
+        # at 400 points and did not finish in 4 minutes at 1,600
+        seq = ",".join(map(str, range(1600)))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "imageclass", "--p", "2", "--seq", seq, "--poly", "X", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)) == (
+            0, {"class": "none", "dichotomy": "undetermined", "suffix_start": 1600}
+        )
+
     def test_point_cap_admits_the_cap(self, capsys):
         # degree 2 times a point of height 2048, 2^2048 itself, is at the cap
         argv = ("expand", "--poly", "X^2", "--set", f"0,1,{2**2048}", "--p", "2", "--json")

@@ -16,7 +16,7 @@ from intpoly import (
 )
 from intpoly.arith import INF
 from intpoly.sequences import _observed_dichotomy
-from oracles import classify_triples
+from oracles import classify_triples, reference_image_window_classify
 
 X = Polynomial.x()
 
@@ -116,6 +116,38 @@ class TestImageClassification:
         start, cls, dichotomy = image_window_classify(Polynomial.constant(3), w)
         assert start == len(w.points)
         assert dichotomy is ImageDichotomy.UNDETERMINED
+
+    def test_matches_reference_seeded(self):
+        # convergent, symmetric and random windows under polynomials that
+        # merge image points, keep them apart or have a denominator p
+        rng = random.Random(64)
+        found = 0
+        for _ in range(600):
+            p = rng.choice((2, 3, 5, 7))
+            n = rng.randrange(3, 9)
+            kind = rng.randrange(3)
+            if kind == 0:
+                acc, pts = Fraction(rng.randint(-9, 9)), []
+                for k in range(n):
+                    acc += rng.choice((1, 2)) * p ** rng.randrange(k, k + 3)
+                    pts.append(acc)
+            elif kind == 1:
+                center = rng.randint(-9, 9)
+                pts = [center + s * k for k in range(1, n) for s in (1, -1)][:n]
+            else:
+                pts = []
+                while len(pts) < n:
+                    x = Fraction(rng.randint(-60, 60), rng.choice((1, p + 1)))
+                    if x not in pts:
+                        pts.append(x)
+            w = SeqWindow(p, tuple(pts))
+            f = Polynomial([rng.randint(-4, 4) for _ in range(rng.randrange(0, 4))] + [1])
+            f = f / rng.choice((1, 1, p))
+            start, cls, dichotomy = image_window_classify(f, w)
+            want = reference_image_window_classify(f, w.points, p)
+            assert (start, cls.value, dichotomy.value) == want, (p, pts, f)
+            found += start < len(w)
+        assert 100 < found < 500
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(DomainError):
