@@ -39,7 +39,13 @@ from .matrices import (
     unit_content_decide,
 )
 from .poly import MAX_DEGREE, Polynomial, _height, parse_polynomial, residue_image
-from .sequences import SeqWindow, classify_window, image_window_classify, is_pseudo_limit
+from .sequences import (
+    SeqWindow,
+    classify_window,
+    image_window_classify,
+    is_pseudo_limit,
+    require_window_length,
+)
 from .spectrum import (
     MaxCompletion,
     MaxSequence,
@@ -64,6 +70,11 @@ from .vorder import (
 
 def _parse_points(text: str) -> tuple:
     return tuple(parse_rational(s) for s in text.split(","))
+
+
+def _parse_window(args) -> SeqWindow:
+    require_window_length(args.seq)
+    return SeqWindow(args.p, _parse_points(args.seq))
 
 
 def _parse_polys(text: str) -> tuple:
@@ -187,7 +198,7 @@ _N = _opt(
 _POLY = _opt("--poly", lambda a: parse_polynomial(a.poly), required=True)
 _SET = _opt("--set", _parse_set, help=_POINTS)
 _ALL = _opt("--all", action="store_true", help="the set of all integers")
-_SEQ = _opt("--seq", lambda a: SeqWindow(a.p, _parse_points(a.seq)), required=True, help=_POINTS)
+_SEQ = _opt("--seq", _parse_window, required=True, help=_POINTS)
 _IDEAL = _opt(
     "--ideal", lambda a: parse_ideal(a.ideal), required=True,
     help="pq:|max:|comp:|seq:|iem: spec",

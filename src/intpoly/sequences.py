@@ -13,8 +13,26 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import INF, DomainError, _vp, require_prime
+from .arith import INF, DomainError, InputParseError, _vp, require_prime
 from .poly import Polynomial
+
+# the most points a parsed window may hold: classifying a window that is
+# neither pseudo-convergent nor pseudo-divergent compares every pair of its
+# points, which took 0.9-2.0 s at 1,000 points, 2.6-5.3 s at 1,600 and
+# 3.7-7.6 s at 2,000 in process (0, 1, 2, ... at p = 2 and 3; Python 3.11,
+# shared 2-core Xeon, the spread is between runs)
+MAX_WINDOW_POINTS = 1_600
+
+
+def require_window_length(text: str) -> None:
+    """Refuse the comma-separated points of a window when there are more than
+    MAX_WINDOW_POINTS, before any is parsed."""
+    count = text.count(",") + 1
+    if count > MAX_WINDOW_POINTS:
+        raise InputParseError(
+            f"a window of {count} points exceeds the cap of {MAX_WINDOW_POINTS} points"
+        )
+
 
 class WindowClass(Enum):
     PSEUDO_CONVERGENT = "pseudo_convergent"

@@ -31,7 +31,7 @@ from .poly import (
     parse_polynomial,
     residue_period_exp,
 )
-from .sequences import SeqWindow, WindowClass, classify_window
+from .sequences import SeqWindow, WindowClass, classify_window, require_window_length
 from .vorder import ALL_INTEGERS, MembershipTarget, SubsetDescriptor, int_membership
 
 INSUFFICIENT_PRECISION = "insufficient_precision"
@@ -167,6 +167,8 @@ def parse_ideal(text: str) -> IdealSpec:
     kind, _, body = text.partition(":")
     if not body:
         raise InputParseError(f"bad ideal spec {text!r}")
+    if kind == "seq":  # refused before the spec, which holds every point, is echoed
+        require_window_length(body.partition("pts=")[2])
     try:
         if kind == "pq":
             return PrimeAboveZero(parse_polynomial(body))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from intpoly.cli import _COMMANDS, build_parser, main
+from intpoly.sequences import MAX_WINDOW_POINTS
 
 # exit code, stdout and stderr of every README CLI example, then of one
 # parse_error and one domain_error request per subcommand that can raise
@@ -15,6 +16,8 @@ from intpoly.cli import _COMMANDS, build_parser, main
 # --json mode; "stdin" is fed to the request when present
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 README = Path(__file__).parent.parent / "README.md"
+# 0, 1, ..., one point past the window cap
+OVERSIZED_WINDOW = ",".join(map(str, range(MAX_WINDOW_POINTS + 1)))
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +223,18 @@ class TestExitCodes:
             (
                 ("expand", "--poly", "2^20000*X", "--all", "--p", "2"),
                 "polynomial coefficients of size up to 2^20000 exceed the cap of 2^4096",
+            ),
+            (
+                ("classify", "--p", "2", "--seq", OVERSIZED_WINDOW),
+                "a window of 1601 points exceeds the cap of 1600 points",
+            ),
+            (
+                ("pseudolimit", "--p", "2", "--seq", OVERSIZED_WINDOW, "--x", "-1"),
+                "a window of 1601 points exceeds the cap of 1600 points",
+            ),
+            (
+                ("ideal", "member", "--ideal", f"seq:p=2,pts={OVERSIZED_WINDOW}", "--poly", "X"),
+                "a window of 1601 points exceeds the cap of 1600 points",
             ),
         ],
     )
