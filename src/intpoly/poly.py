@@ -69,6 +69,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
+        if isinstance(value, (int, Fraction)):
+            return _make([value.numerator], value.denominator)
         return cls((Fraction(value),))
 
     # -- basic queries -----------------------------------------------------

@@ -462,8 +462,12 @@ class TestIntegerForm:
         rng = random.Random(78)
         f = Polynomial(_seeded_coefficients(rng, 6, 20))
         g = Polynomial(_seeded_coefficients(rng, 4, 20))
-        quarter = Fraction(-9, 4)
+        quarter, three_quarters = Fraction(-9, 4), Fraction(3, 4)
         for call in (
+            lambda: Polynomial.constant(7),
+            lambda: Polynomial.constant(three_quarters),
+            lambda: X + 1,
+            lambda: 2 * X,
             lambda: f * g,
             lambda: f + g,
             lambda: f - g,
