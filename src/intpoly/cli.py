@@ -95,6 +95,23 @@ def _parse_int(text: str) -> int:
         raise InputParseError(f"bad integer matrix: {exc}") from None
 
 
+# the most rows and columns of an `snf` matrix: with entries in [-9, 9] a
+# square matrix took 0.06 s at side 40, 0.45 s at 64 and 1.3 s at 80
+# (Python 3.11, 2-core Xeon)
+MAX_SNF_SIDE = 64
+
+
+def _snf_matrix(args) -> tuple:
+    """The integer matrix of --matrix, refused above MAX_SNF_SIDE rows or columns."""
+    matrix = _parse_matrix(args.matrix, _parse_int)
+    for size, unit in ((len(matrix), "rows"), (len(matrix[0]), "columns")):
+        if size > MAX_SNF_SIDE:
+            raise InputParseError(
+                f"a matrix of {size} {unit} exceeds the cap of {MAX_SNF_SIDE} {unit}"
+            )
+    return matrix
+
+
 def _parse_set(args) -> SubsetDescriptor:
     """The set --set and --all name; a subcommand without --all reads a
     missing --set as all integers."""
@@ -387,7 +404,7 @@ def _frisch(a):
 
 @_command(
     "snf", "Smith normal form with transforms",
-    _opt("--matrix", lambda a: _parse_matrix(a.matrix, _parse_int), required=True, help=_MATRIX),
+    _opt("--matrix", _snf_matrix, required=True, help=_MATRIX),
     render=lambda p, a: [f"{name}: {_rows(p[name])}" for name in "USW"],
 )
 def _snf(a):

@@ -9,12 +9,15 @@ unique and equality and hashing compare it directly.  This is the content
 and primitive part of Cohen, "A Course in Computational Algebraic Number
 Theory", section 3.1; degrees stay small, so the layout is dense.
 
-Arithmetic, `divmod`, the integrality tests and the residue sweep run on
-integers; the integrality tests read the values F(0), ..., F(deg f).
-Results reduce by one gcd when they are built.  Fractions are
-built only where a value leaves the class: `coeffs`, `coefficient`,
-`leading_coefficient`, `constant_value`, the value of `__call__` and
-`to_binomial_basis`, which divides the integer forward differences by m.
+Arithmetic, `divmod`, the integrality tests, the residue sweep and the
+parser run on integers; the integrality tests read the values F(0), ...,
+F(deg f).  Products and powers have one integer kernel each, `_mul` and
+`_pow`, which the class and the parser share.  Results reduce by one gcd
+when they are built; the parser reduces once per sum, that is once for the
+text and once per parenthesised group.  Fractions are built only where a
+value leaves the class: `coeffs`, `coefficient`, `leading_coefficient`,
+`constant_value`, the value of `__call__` and `to_binomial_basis`, which
+divides the integer forward differences by m.
 """
 from __future__ import annotations
 
@@ -141,12 +144,7 @@ class Polynomial:
         other = self._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, den = self._F, other._F, lcm(self._m, other._m)
-        u, v = den // self._m, den // other._m
-        out = [c * u for c in a] + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] += c * v
-        return _make(out, den)
+        return _make(*_add(self._F, self._m, other._F, other._m))
 
     __radd__ = __add__
 
@@ -163,13 +161,7 @@ class Polynomial:
         other = self._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._F, other._F
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _make(out, self._m * other._m)
+        return _make(_mul(self._F, other._F), self._m * other._m)
 
     __rmul__ = __mul__
 
@@ -184,15 +176,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        if n == 0:
-            return Polynomial.one()
-        # left to right over the bits of n below the top one
-        result = self
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return _make(_pow(self._F, n), self._m ** n)
 
     def __divmod__(self, other):
         """(q, r) with self == q*other + r and deg r < deg other: long division
@@ -300,6 +284,43 @@ def _make(F: list, m: int) -> Polynomial:
     return f
 
 
+def _add(F, m: int, G, n: int) -> tuple:
+    """F/m + G/n as (integer list, lcm(m, n)), for integer lists F, G
+    (ascending) and nonzero m, n; trailing zeros are left for _make."""
+    den = lcm(m, n)
+    u, v = den // m, den // n
+    out = [c * u for c in F] + [0] * (len(G) - len(F))
+    for i, c in enumerate(G):
+        out[i] += c * v
+    return out, den
+
+
+def _mul(F, G) -> list:
+    """The product of integer lists F and G (ascending, trimmed), trimmed."""
+    if not F or not G:
+        return []
+    out = [0] * (len(F) + len(G) - 1)
+    for i, x in enumerate(F):
+        if x:
+            for j, y in enumerate(G):
+                out[i + j] += x * y
+    return out
+
+
+def _pow(F, n: int) -> list:
+    """F**n for an integer list F (ascending, trimmed) and n >= 0, trimmed;
+    F**0 is [1], for F = [] too."""
+    if n == 0:
+        return [1]
+    # left to right over the bits of n below the top one
+    result = list(F)
+    for bit in bin(n)[3:]:
+        result = _mul(result, result)
+        if bit == "1":
+            result = _mul(result, F)
+    return result
+
+
 def _horner(F, x):
     """The integer coefficient list F, ascending, evaluated at x: an int at
     an int point, else a value of x's type."""
@@ -342,22 +363,27 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     """Recursive descent for sums of products; '/' only by nonzero constants.
 
-    Each rule returns its polynomial with a bound on its `_height`: a
-    product, quotient or power adds or multiplies the bounds of its operands
-    and is refused above the caps before it is built.  A sum of k terms has
-    height at most 2*(sum of theirs) + ceil(log2 k); only when that bound
-    passes the cap is the sum's height measured, and a parenthesised sum,
+    The rules run on integers.  A term, power or atom is an integer list F
+    (ascending, trimmed) over a nonzero integer m, not reduced, with a
+    bound on the `_height` of F/m: a product, quotient or power adds or
+    multiplies the bounds of its operands and is refused above the caps
+    before it is built.  The bound holds for the unreduced pair too, so no
+    intermediate value outgrows it.  A sum, that is the whole text or a
+    parenthesised group, is reduced by one `_make`; a sum of k terms has
+    height at most 2*(sum of theirs) + ceil(log2 k), and only when that
+    bound passes the cap is its height measured.  A parenthesised sum,
     which may become a factor or a base, is always measured."""
 
     def __init__(self, tokens):
-        self.tokens = tokens
+        # None marks the end; every rule that takes it raises at once
+        self.tokens = tokens + [None]
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         self.i += 1
         return tok
 
@@ -368,14 +394,16 @@ class _Parser:
         return result
 
     def expr(self) -> tuple:
-        result, height = self.term()
+        """The sum as a Polynomial, with its height bound."""
+        F, m, height = self.term()
         terms = 1
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs, rhs_height = self.term()
-            result = result + rhs if op == "+" else result - rhs
+            G, n, rhs_height = self.term()
+            F, m = _add(F, m, G if op == "+" else [-c for c in G], n)
             height += rhs_height
             terms += 1
+        result = _make(F, m)
         if terms > 1:
             height = 2 * height + (terms - 1).bit_length()
             if height > MAX_HEIGHT:
@@ -388,42 +416,46 @@ class _Parser:
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        result, height = self.power()
+        F, m, height = self.power()
         while True:
             nxt = self.peek()
             if nxt == "/":
                 self.take()
-                rhs, rhs_height = self.power()
-                if not rhs.is_constant or rhs.is_zero:
+                G, n, rhs_height = self.power()
+                if len(G) != 1:
                     raise InputParseError("division is only allowed by a nonzero constant")
                 height += rhs_height
                 _require_height(height)
-                result = result / rhs.constant_value()
+                F = [c * n for c in F]
+                m *= G[0]
                 continue
             if nxt == "*":
                 self.take()
             elif nxt is None or not (nxt == "X" or nxt == "(" or nxt.isdigit()):
                 break
             # "*" or an implicit product, e.g. "3X^2" or "X(X-1)"
-            rhs, rhs_height = self.power()
-            _require_degree(result.degree + rhs.degree)
+            G, n, rhs_height = self.power()
+            _require_degree(len(F) + len(G) - 2)
             height += rhs_height
             _require_height(height)
-            result = result * rhs
-        return (result if sign == 1 else -result), height
+            F = _mul(F, G)
+            m *= n
+        if sign < 0:
+            F = [-c for c in F]
+        return F, m, height
 
     def power(self) -> tuple:
-        base, height = self.atom()
+        F, m, height = self.atom()
         if self.peek() == "^":
             self.take()
             exp_tok = self.take()
             if exp_tok is None or not exp_tok.isdigit():
                 raise InputParseError("exponent must be a non-negative integer")
             exp = int(exp_tok)
-            _require_degree(base.degree * exp)
+            _require_degree((len(F) - 1) * exp)
             _require_height(height * exp)
-            return base ** exp, height * exp
-        return base, height
+            return _pow(F, exp), m ** exp, height * exp
+        return F, m, height
 
     def atom(self) -> tuple:
         tok = self.take()
@@ -433,14 +465,14 @@ class _Parser:
             inner, _ = self.expr()
             if self.take() != ")":
                 raise InputParseError("unbalanced parentheses")
-            return inner, _height(inner)
+            return inner._F, inner._m, _height(inner)
         if tok == "X":
-            return Polynomial.x(), 0
+            return [0, 1], 1, 0
         if tok.isdigit():
             value = int(tok)
             height = (value - 1).bit_length()
             _require_height(height)
-            return Polynomial.constant(value), height
+            return [value] if value else [], 1, height
         raise InputParseError(f"unexpected token {tok!r}")
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 
 from .arith import (
     DomainError,
@@ -160,13 +159,25 @@ IdealSpec = PrimeAboveZero | MaxTrivial | MaxCompletion | MaxSequence | IntEM
 MAX_COMPLETION_BITS = 2 * MAX_HEIGHT
 
 
+# a refused spec is quoted up to this many characters, and by its length
+# past them: a seq: spec may hold MAX_WINDOW_POINTS points
+MAX_SPEC_ECHO = 60
+
+
+def _quote(text: str) -> str:
+    """text quoted for an error message, cut to MAX_SPEC_ECHO characters."""
+    if len(text) <= MAX_SPEC_ECHO:
+        return repr(text)
+    return f"{text[:MAX_SPEC_ECHO]!r}... ({len(text)} characters)"
+
+
 def parse_ideal(text: str) -> IdealSpec:
     """Parse the mini-grammar: pq:<poly> | max:p=,a= | comp:p=,x=,N= |
     seq:p=,pts= | iem:p=."""
     text = text.strip()
     kind, _, body = text.partition(":")
     if not body:
-        raise InputParseError(f"bad ideal spec {text!r}")
+        raise InputParseError(f"bad ideal spec {_quote(text)}")
     if kind == "seq":  # refused before the spec, which holds every point, is echoed
         require_window_length(body.partition("pts=")[2])
     try:
@@ -176,7 +187,7 @@ def parse_ideal(text: str) -> IdealSpec:
             # the pts= value itself contains commas, so split it off first
             head, sep, pts_text = body.partition("pts=")
             if not sep:
-                raise InputParseError(f"seq ideal needs pts=: {text!r}")
+                raise InputParseError(f"seq ideal needs pts=: {_quote(text)}")
             fields = _parse_fields(head.rstrip(","))
             pts = tuple(Fraction(s) for s in pts_text.split(","))
             return MaxSequence(SeqWindow(int(fields["p"]), pts))
@@ -195,8 +206,8 @@ def parse_ideal(text: str) -> IdealSpec:
         if kind == "iem":
             return IntEM(int(fields["p"]))
     except (KeyError, ValueError) as exc:
-        raise InputParseError(f"bad ideal spec {text!r}: {exc}") from None
-    raise InputParseError(f"unknown ideal kind {kind!r}")
+        raise InputParseError(f"bad ideal spec {_quote(text)}: {exc}") from None
+    raise InputParseError(f"unknown ideal kind {_quote(kind)}")
 
 
 def _parse_fields(body: str) -> dict:
@@ -234,7 +245,7 @@ def _window_tail(ideal: MaxSequence, E: SubsetDescriptor) -> tuple:
     for x in pts:
         if not E.contains(x):
             raise DomainError(f"window point {x} does not belong to {E}")
-    return pts[len(pts) - ceil(len(pts) / 2):]
+    return pts[len(pts) // 2:]
 
 
 def _point_residues(f: Polynomial, ideal: IdealSpec, E: SubsetDescriptor):

@@ -24,6 +24,11 @@ polynomials and certificate attempt, the relation is computed with
 the image in turn, and the membership test sweeps the residues of f for the
 maximal-ideal layer.  The faster kernels must give the same results.  The
 integer matrix helpers check Smith normal form transforms.
+
+`ReferenceParser` is the library's earlier polynomial parser, which builds a
+`Polynomial` for every atom, power, quotient, product and partial sum; the
+integer parser must give the same polynomial, or the same exception and
+message.
 """
 from __future__ import annotations
 
@@ -46,7 +51,14 @@ from intpoly import (
     to_binomial_basis,
     vp,
 )
-from intpoly.arith import require_prime
+from intpoly.arith import InputParseError, require_prime
+from intpoly.poly import (
+    MAX_HEIGHT,
+    _height,
+    _require_degree,
+    _require_height,
+    _tokenize,
+)
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -603,3 +615,124 @@ def reference_content_sweep(entries, p: int, exp: int):
             return table, alpha
         table[alpha] = units[0]
     return table, None
+
+
+# -- the Polynomial-building parser ------------------------------------------------
+
+
+class ReferenceParser:
+    """The earlier parser: recursive descent that builds a `Polynomial` for
+    every atom, power, quotient, product and partial sum.
+
+    Each rule returns its polynomial with a bound on its `_height`: a
+    product, quotient or power adds or multiplies the bounds of its operands
+    and is refused above the caps before it is built.  A sum of k terms has
+    height at most 2*(sum of theirs) + ceil(log2 k); only when that bound
+    passes the cap is the sum's height measured, and a parenthesised sum,
+    which may become a factor or a base, is always measured."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def parse(self) -> Polynomial:
+        result, _ = self.expr()
+        if self.peek() is not None:
+            raise InputParseError(f"trailing tokens near {self.peek()!r}")
+        return result
+
+    def expr(self) -> tuple:
+        result, height = self.term()
+        terms = 1
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs, rhs_height = self.term()
+            result = result + rhs if op == "+" else result - rhs
+            height += rhs_height
+            terms += 1
+        if terms > 1:
+            height = 2 * height + (terms - 1).bit_length()
+            if height > MAX_HEIGHT:
+                height = _height(result)
+                _require_height(height)
+        return result, height
+
+    def term(self) -> tuple:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        result, height = self.power()
+        while True:
+            nxt = self.peek()
+            if nxt == "/":
+                self.take()
+                rhs, rhs_height = self.power()
+                if not rhs.is_constant or rhs.is_zero:
+                    raise InputParseError("division is only allowed by a nonzero constant")
+                height += rhs_height
+                _require_height(height)
+                result = result / rhs.constant_value()
+                continue
+            if nxt == "*":
+                self.take()
+            elif nxt is None or not (nxt == "X" or nxt == "(" or nxt.isdigit()):
+                break
+            # "*" or an implicit product, e.g. "3X^2" or "X(X-1)"
+            rhs, rhs_height = self.power()
+            _require_degree(result.degree + rhs.degree)
+            height += rhs_height
+            _require_height(height)
+            result = result * rhs
+        return (result if sign == 1 else -result), height
+
+    def power(self) -> tuple:
+        base, height = self.atom()
+        if self.peek() == "^":
+            self.take()
+            exp_tok = self.take()
+            if exp_tok is None or not exp_tok.isdigit():
+                raise InputParseError("exponent must be a non-negative integer")
+            exp = int(exp_tok)
+            _require_degree(base.degree * exp)
+            _require_height(height * exp)
+            return base ** exp, height * exp
+        return base, height
+
+    def atom(self) -> tuple:
+        tok = self.take()
+        if tok is None:
+            raise InputParseError("unexpected end of polynomial")
+        if tok == "(":
+            inner, _ = self.expr()
+            if self.take() != ")":
+                raise InputParseError("unbalanced parentheses")
+            return inner, _height(inner)
+        if tok == "X":
+            return Polynomial.x(), 0
+        if tok.isdigit():
+            value = int(tok)
+            height = (value - 1).bit_length()
+            _require_height(height)
+            return Polynomial.constant(value), height
+        raise InputParseError(f"unexpected token {tok!r}")
+
+
+def reference_parse_polynomial(text: str) -> Polynomial:
+    """`parse_polynomial` through `ReferenceParser`: the same tokens, caps
+    and messages."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise InputParseError("empty polynomial text")
+    try:
+        return ReferenceParser(tokens).parse()
+    except RecursionError:
+        raise InputParseError("polynomial nested too deeply") from None

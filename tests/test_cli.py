@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from intpoly.cli import _COMMANDS, build_parser, main
+from intpoly.cli import _COMMANDS, MAX_SNF_SIDE, build_parser, main
 from intpoly.sequences import MAX_WINDOW_POINTS
 
 # exit code, stdout and stderr of every README CLI example, then of one
@@ -236,6 +236,11 @@ class TestExitCodes:
                 ("ideal", "member", "--ideal", f"seq:p=2,pts={OVERSIZED_WINDOW}", "--poly", "X"),
                 "a window of 1601 points exceeds the cap of 1600 points",
             ),
+            # a 100 x 100 Smith normal form takes seconds
+            (("snf", "--matrix", ";".join([",".join(["7"] * 100)] * 100)),
+             "a matrix of 100 rows exceeds the cap of 64 rows"),
+            (("snf", "--matrix", ";".join([",".join(["7"] * 65)] * 2)),
+             "a matrix of 65 columns exceeds the cap of 64 columns"),
         ],
     )
     def test_parse_caps(self, capsys, argv, message):
@@ -282,6 +287,20 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert time.perf_counter() - start < 1.0
         assert (code, json.loads(out)) == (2, {"error": {"kind": "parse_error", "message": message}})
+
+    def test_snf_cap_admits_the_cap(self, capsys):
+        for matrix in (";".join(["1"] * MAX_SNF_SIDE), ",".join(["1"] * MAX_SNF_SIDE)):
+            code, out, _ = run_cli(capsys, "snf", "--matrix", matrix, "--json")
+            assert code == 0 and json.loads(out)["diagonal"] == [1]
+
+    def test_refused_ideal_spec_echo_is_bounded(self, capsys):
+        # the whole 200-point spec was echoed: 775 bytes in text mode, 817 in --json
+        spec = "seq:p=2,pts=" + ",".join(map(str, range(200)))
+        for extra in ((), ("--json",)):
+            code, out, err = run_cli(capsys, "ideal", "member", "--ideal", spec, "--poly", "X", *extra)
+            assert code == 2
+            assert len((out + err).encode()) < 300
+            assert f"({len(spec)} characters)" in out + err
 
     def test_imageclass_window_of_1600_points(self, capsys):
         # classifying every suffix anew, with its pairwise check, took 31 s

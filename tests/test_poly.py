@@ -21,6 +21,7 @@ from intpoly import (
     residue_image,
     to_binomial_basis,
 )
+from intpoly import poly
 from intpoly.arith import INF, vp_int
 from intpoly.poly import (
     MAX_DEGREE,
@@ -37,6 +38,7 @@ from intpoly.poly import (
 from oracles import (
     ReferencePolynomial,
     frac_valuation,
+    reference_parse_polynomial,
     reference_residue_image,
     reference_to_binomial_basis,
 )
@@ -257,6 +259,116 @@ class TestTextFormat:
             assert height <= bound, text
             for c in f.coeffs:
                 assert abs(c.numerator) <= 2**height and c.denominator <= 2**height, text
+            # a term's integers over its denominator, before any reduction,
+            # stay within its bound too
+            F, m, bound = _Parser(_tokenize(text)).term()
+            assert m and (not F or F[-1]), text
+            norm = max(sum(map(abs, F)), 1)
+            assert (abs(m) - 1).bit_length() + (norm - 1).bit_length() <= bound, text
+
+
+def _parse_outcome(parse, text: str) -> tuple:
+    """(F, m) of the parsed polynomial, or the type and message of its error."""
+    try:
+        f = parse(text)
+    except (InputParseError, ValueError) as exc:
+        return type(exc), str(exc)
+    return f._F, f._m
+
+
+def _grammar_texts(rng, count: int):
+    """Seeded texts of the polynomial grammar: nested parentheses, chains of
+    unary signs, implicit products, powers of sums, monomials and zero,
+    chains of divisions, and some with one token dropped."""
+
+    def atom(depth):
+        kind = rng.randrange(6) if depth else rng.randrange(3)
+        if kind == 0:
+            return rng.choice(["X", "x", "0", "1", str(rng.randint(2, 99)), str(rng.getrandbits(70))])
+        if kind == 1:  # a monomial
+            return f"{rng.randint(0, 9)}X^{rng.randint(0, 6)}"
+        if kind == 2:
+            return "0"
+        if kind == 3:
+            return f"({expr(depth - 1)})"
+        if kind == 4:  # a power of a sum
+            return f"({expr(depth - 1)} {rng.choice('+-')} {rng.randint(0, 5)})^{rng.randint(0, 4)}"
+        return f"({atom(depth - 1)})^{rng.randint(0, 3)}"
+
+    def term(depth):
+        text = "".join(rng.choice("+-") for _ in range(rng.choice((0, 0, 1, 2, 5)))) + atom(depth)
+        for _ in range(rng.randrange(4)):
+            op = rng.choice(["*", "", " ", "/", "/"])
+            if op == "/":
+                divisors = [
+                    str(rng.randint(1, 10**6)), "(-3)", "2^3", f"({rng.randint(2, 5)} - 1)",
+                    f"(-{rng.randint(1, 9)}/{rng.randint(1, 9)})",
+                ]
+                text += "/" + rng.choice(divisors if rng.random() < 0.97 else ["0", "X", "(X)"])
+            else:
+                text += op + atom(depth)
+        return text
+
+    def expr(depth):
+        text = term(depth)
+        for _ in range(rng.randrange(4)):
+            text += f" {rng.choice('+-')} {term(depth)}"
+        return text
+
+    for _ in range(count):
+        text = expr(rng.randint(1, 3))
+        if rng.random() < 0.15:
+            tokens = _tokenize(text)
+            del tokens[rng.randrange(len(tokens))]
+            text = " ".join(tokens)
+        yield text
+
+
+# texts at and past the degree and height caps, and at both at once
+_CAP_TEXTS = [
+    "X^300", "X^301", "(X^2)^150/2", "(X^2)^151", "X^200*X^100", "X^200X^101", "0*X^300*X^300",
+    "(X+1)^300", "(X^300)(X+1)", "X^100000/2",
+    "2^4096*X", "2^4097", str(2**4096), str(2**4096 + 1), "X/2^4096", "X/2^4096/2",
+    "(100X+99)^300", "(100X+99)^301", "(2^4000*X+1)(2^4000X+1)", "(X+1)^200/2^4000",
+    "1/2^4000 + 1/5^1300", "2^4000*X + 2^4000", "2^4000*X - 2^4000*X + X/3",
+    "(2^3000*X/2^3000)^2", "(2^2048X + 1)^2/2^4096", "X^150*(2X+1)^150/2^4096",
+]
+
+
+class TestParser:
+    """The integer parser against the earlier Polynomial-building parser."""
+
+    def test_matches_reference_seeded(self):
+        rng = random.Random(20261019)
+        texts = _CAP_TEXTS + list(_grammar_texts(rng, 1000))
+        outcomes = set()
+        for text in texts:
+            got = _parse_outcome(parse_polynomial, text)
+            assert got == _parse_outcome(reference_parse_polynomial, text), text
+            outcomes.add(got[0] if isinstance(got[0], type) else "ok")
+        assert outcomes == {"ok", InputParseError}
+
+    def test_builds_no_fraction_and_reduces_once_per_sum(self, monkeypatch):
+        texts = [
+            "-1/2160*X^6 + 13/3600*X^5 - 1/144*X^4 + 1/90*X^2 - 1/2*X + 7",
+            "X*(X-1)*(X-2)/6 - (X+1)^3/(-12) + 3/4",
+            "((X + 1)/2 + (X - 1)/3)^4/5/7 - --X/6",
+            "(X^2)^150/2",
+        ]
+        calls = []
+        make = poly._make
+
+        def counting_make(F, m):
+            calls.append(1)
+            return make(F, m)
+
+        monkeypatch.setattr(poly, "_make", counting_make)
+        for text in texts:
+            assert _fraction_constructions(lambda: parse_polynomial(text)) == 0
+            calls.clear()
+            parse_polynomial(text)
+            assert len(calls) <= text.count("(") + 1, text
+            assert parse_polynomial(text) == reference_parse_polynomial(text)
 
 
 class TestBinomialBasis:
@@ -404,6 +516,10 @@ class TestIntegerForm:
             f, ref = Polynomial(coeffs), ReferencePolynomial(coeffs)
             other = rng.choice(cases)
             assert (f * Polynomial(other)).coeffs == (ref * ReferencePolynomial(other)).coeffs
+            power = ReferencePolynomial((1,))
+            for n in range(4):
+                assert (f ** n).coeffs == power.coeffs
+                power = power * ref
             for x in self.POINTS:
                 value = f(x)
                 assert type(value) is Fraction and value == ref(x)
@@ -469,6 +585,7 @@ class TestIntegerForm:
             lambda: X + 1,
             lambda: 2 * X,
             lambda: f * g,
+            lambda: f ** 3,
             lambda: f + g,
             lambda: f - g,
             lambda: -f,

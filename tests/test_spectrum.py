@@ -131,6 +131,13 @@ class TestMembership:
         assert verdict.value == "unknown"
         assert verdict.reason == "window_ambiguous"
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_max_sequence_reads_the_later_half(self, n):
+        # the last ceil(n/2) points of the window 2^(k+1) - 1, k < n
+        pts = tuple(2 ** (k + 1) - 1 for k in range(n))
+        tail = spectrum._window_tail(MaxSequence(SeqWindow(2, pts)), SubsetDescriptor.all_integers())
+        assert tail == pts[-((n + 1) // 2):]
+
     def test_int_e_m(self):
         assert ideal_membership(X ** 2 + X, IntEM(2)).is_yes
         assert ideal_membership(X * (X - 1) / 2, IntEM(2)).is_no
