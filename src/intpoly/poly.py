@@ -344,7 +344,8 @@ MAX_DEGREE = 300
 # to str conversion (Python 3.11, 2-core Xeon)
 MAX_HEIGHT = 4096
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[Xx]|[()+\-*/^])")
+# blanks may lead a token, and may trail the last one
+_TOKEN_RE = re.compile(r"\s*(\d+|[Xx]|[()+\-*/^])(?:\s*\Z)?")
 
 
 def _tokenize(text: str) -> list[str]:

@@ -3,7 +3,7 @@
 A window is a finite run of pairwise-distinct p-integral rationals.  The
 three classes (convergent / divergent / stationary in the pseudo sense) are
 defined by how v(x_n - x_m) behaves over all triples n > m > l; the
-implementation uses an equivalent consecutive-difference reduction which the
+implementation decides each from the consecutive gaps in one pass, which the
 test suite checks against the triple definition by brute force.
 """
 from __future__ import annotations
@@ -11,16 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 from .arith import INF, DomainError, InputParseError, _vp, require_prime
 from .poly import Polynomial
 
-# the most points a parsed window may hold: classifying a window that is
-# neither pseudo-convergent nor pseudo-divergent compares every pair of its
-# points, which took 0.9-2.0 s at 1,000 points, 2.6-5.3 s at 1,600 and
-# 3.7-7.6 s at 2,000 in process (0, 1, 2, ... at p = 2 and 3; Python 3.11,
-# shared 2-core Xeon, the spread is between runs)
+# the most points a parsed window may hold.  Classifying reads the
+# consecutive gaps once: parsing and classifying 1,600 points took 0.010 s
+# for 0, 1, 2, ... at p = 2 and at p = 1,000,003, and 0.065 s for i*2^200,
+# whose gaps take 200 divisions by p each; 10,000 points took 0.07 and
+# 0.52 s, and 25,000 (about one 128 KiB argument) 0.2 and 1.3 s (Python
+# 3.11, shared 2-core Xeon).  The cap is still the one an earlier pairwise
+# check needed; raising it changes the refusals that pin it
 MAX_WINDOW_POINTS = 1_600
 
 
@@ -84,29 +85,28 @@ def _strictly_decreasing(vals) -> bool:
 
 
 def classify_window(w: SeqWindow) -> WindowClass:
-    """Classify by the consecutive-difference reduction.
+    """Classify by the consecutive gaps, in one pass.
 
     Strictly increasing consecutive gaps force v(x_n - x_m) = v(x_{m+1} - x_m)
     for all n > m (the later summands have strictly larger valuation), which
-    yields the triple condition; similarly for strictly decreasing gaps.  For
-    the stationary class consecutive equality is NOT enough: all pairwise
-    valuations are compared, except that the difference of the first and last
-    points never appears in a triple (it would need an index below the first
-    or above the last) and so is genuinely unconstrained.
+    yields the triple condition; similarly for strictly decreasing gaps.  A
+    stationary window needs every gap equal to one gamma, and then every
+    difference has valuation at least gamma, exactly gamma when the two
+    points differ mod p^(gamma+1).  Every pair but (first, last) appears in
+    a triple (that pair would need an index below the first or above the
+    last), so the window is stationary exactly when the points but the last,
+    and the points but the first, are each distinct mod p^(gamma+1).
     """
     gaps = w.gap_valuations()
     if _strictly_increasing(gaps):
         return WindowClass.PSEUDO_CONVERGENT
     if _strictly_decreasing(gaps):
         return WindowClass.PSEUDO_DIVERGENT
-    pts, last = w.points, len(w) - 1
-    constrained = {
-        _vp(pts[j] - pts[i], w.p)
-        for i, j in combinations(range(len(pts)), 2)
-        if (i, j) != (0, last)
-    }
-    if len(constrained) == 1:
-        return WindowClass.PSEUDO_STATIONARY
+    if len(set(gaps)) == 1:
+        mod = w.p ** (gaps[0] + 1)
+        res = [x.numerator * pow(x.denominator, -1, mod) % mod for x in w.points]
+        if len(set(res[:-1])) == len(res) - 1 == len(set(res[1:])):
+            return WindowClass.PSEUDO_STATIONARY
     return WindowClass.NONE
 
 
@@ -117,7 +117,7 @@ def is_pseudo_limit(x, w: SeqWindow) -> bool:
     a strictly increasing finite run, so the answer is False rather than an
     error.
     """
-    if classify_window(w) is not WindowClass.PSEUDO_CONVERGENT:
+    if not _strictly_increasing(w.gap_valuations()):
         raise DomainError("pseudo-limit test needs a pseudo-convergent window")
     x = Fraction(x)
     if x in w.points:

@@ -30,7 +30,7 @@ from .poly import (
     parse_polynomial,
     residue_period_exp,
 )
-from .sequences import SeqWindow, WindowClass, classify_window, require_window_length
+from .sequences import SeqWindow, _strictly_increasing, require_window_length
 from .vorder import ALL_INTEGERS, MembershipTarget, SubsetDescriptor, int_membership
 
 INSUFFICIENT_PRECISION = "insufficient_precision"
@@ -123,7 +123,7 @@ class MaxSequence:
     window: SeqWindow
 
     def __post_init__(self):
-        if classify_window(self.window) is not WindowClass.PSEUDO_CONVERGENT:
+        if not _strictly_increasing(self.window.gap_valuations()):
             raise DomainError("sequence ideal needs a pseudo-convergent window")
 
     @property

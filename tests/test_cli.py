@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import shlex
 import time
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from intpoly.cli import _COMMANDS, MAX_SNF_SIDE, build_parser, main
+from intpoly.matrices import MAX_SNF_HEIGHT
 from intpoly.sequences import MAX_WINDOW_POINTS
 
 # exit code, stdout and stderr of every README CLI example, then of one
@@ -312,6 +314,46 @@ class TestExitCodes:
         assert (code, json.loads(out)) == (
             0, {"class": "none", "dichotomy": "undetermined", "suffix_start": 1600}
         )
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # the pairwise stationary check took 31.7 s on these points
+            (
+                ("classify", "--p", "2", "--seq", ",".join(str(i * 2**200) for i in range(1, 1601))),
+                (0, {"class": "none", "gapValuations": ["200"] * 1599}),
+            ),
+            # both refusals ran the pairwise check first: 5.4 and 5.3 s
+            (
+                ("ideal", "member", "--ideal", "seq:p=2,pts=" + ",".join(map(str, range(1600))), "--poly", "X"),
+                (2, {"error": {"kind": "parse_error", "message": (
+                    "bad ideal spec 'seq:p=2,pts=0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,1'"
+                    "... (6901 characters): sequence ideal needs a pseudo-convergent window"
+                )}}),
+            ),
+            (
+                ("pseudolimit", "--p", "2", "--seq", ",".join(map(str, range(1600))), "--x", "-1"),
+                (1, {"error": {"kind": "domain_error", "message": (
+                    "pseudo-limit test needs a pseudo-convergent window"
+                )}}),
+            ),
+        ],
+    )
+    def test_window_of_1600_points(self, capsys, argv, expected):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)) == expected
+
+    def test_snf_height_cap(self, capsys):
+        # 32 x 32 entries near 2^64: the transforms reach 2^22674, and the
+        # interpreter refused to print them
+        rng = random.Random(1)
+        matrix = ";".join(",".join(str(rng.randint(-2**64, 2**64)) for _ in range(32)) for _ in range(32))
+        code, out, _ = run_cli(capsys, "snf", "--matrix", matrix, "--json")
+        error = json.loads(out)["error"]
+        assert (code, error["kind"]) == (1, "domain_error")
+        assert error["message"].endswith(f"exceed the cap of 2^{MAX_SNF_HEIGHT}")
 
     def test_point_cap_admits_the_cap(self, capsys):
         # degree 2 times a point of height 2048, 2^2048 itself, is at the cap

@@ -22,6 +22,8 @@ from intpoly import (
 from intpoly.arith import vp
 from intpoly.matrices import (
     MAX_CONTENT_DEGREE,
+    MAX_SNF_HEIGHT,
+    _require_snf_height,
     poly_det2,
     poly_mat_mul,
     poly_matrix,
@@ -104,6 +106,21 @@ class TestSNF:
     def test_deterministic(self):
         A = ((12, -4, 7), (0, 5, -3))
         assert snf_with_transforms(A) == snf_with_transforms(A)
+
+    def test_height_cap(self):
+        assert snf_with_transforms(((2**MAX_SNF_HEIGHT - 1,),)).diagonal == (2**MAX_SNF_HEIGHT - 1,)
+        with pytest.raises(DomainError, match=f"size up to 2\\^{MAX_SNF_HEIGHT + 1} exceed"):
+            snf_with_transforms(((-(2**MAX_SNF_HEIGHT),),))
+        with pytest.raises(DomainError):
+            _require_snf_height((1,), (1, -(2**MAX_SNF_HEIGHT)))
+
+    def test_height_cap_admits_64_by_64_of_two_digits(self):
+        # the highest of 25 seeded 64 x 64 matrices with entries in [-99, 99]
+        rng = random.Random(4)
+        A = [[rng.randint(-99, 99) for _ in range(64)] for _ in range(64)]
+        result = snf_with_transforms(A)
+        height = max(abs(x) for M in (result.U, result.S, result.W) for row in M for x in row)
+        assert 13_800 < height.bit_length() <= MAX_SNF_HEIGHT
 
     def test_random_suite(self):
         rng = random.Random(71)

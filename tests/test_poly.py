@@ -183,6 +183,19 @@ class TestTextFormat:
             with pytest.raises(InputParseError):
                 parse_polynomial(bad)
 
+    def test_blanks_may_lead_and_trail(self):
+        for text in ("X ", " X", " X \t\n", "X + 1  ", "( X - 1 ) "):
+            assert parse_polynomial(text) == parse_polynomial(text.replace(" ", "").strip())
+
+    @pytest.mark.parametrize(
+        "text, rest",
+        [("X  Y", "'  Y'"), ("X Y ", "' Y '"), ("  ", "'  '"), ("X + Y^2 ", "' Y^2 '"), ("Y^2", "'Y^2'")],
+    )
+    def test_bad_character_message_quotes_the_rest(self, text, rest):
+        with pytest.raises(InputParseError) as err:
+            parse_polynomial(text)
+        assert str(err.value) == f"bad character in polynomial at {rest}"
+
     @pytest.mark.parametrize(
         "text, degree",
         [

@@ -63,6 +63,43 @@ class TestClassify:
             w = SeqWindow(2, pts)
             assert classify_window(w).value == classify_triples(pts, 2)
 
+    def test_matches_triple_brute_force_at_odd_primes(self):
+        # random rational windows, and windows built to be stationary: every
+        # gap has valuation gamma, and the digits r_i at p^gamma differ within
+        # the points but the last and within the points but the first (the
+        # last may repeat the first, a pair no triple compares); now and then
+        # another digit repeats
+        rng = random.Random(65)
+        seen = {}
+        for _ in range(1500):
+            p = rng.choice((3, 5, 7))
+            units = [d for d in range(1, 12) if d % p]
+            if rng.randrange(2):
+                n = rng.randrange(3, 8)
+                pts = []
+                while len(pts) < n:
+                    x = Fraction(rng.randint(-3 * p * p, 3 * p * p), rng.choice(units))
+                    if x not in pts:
+                        pts.append(x)
+                pts = tuple(pts)
+            else:
+                n = rng.randrange(3, p + 2)
+                r = rng.sample(range(p), n - 1)
+                r.append(rng.choice([d for d in range(p) if d not in r[1:]]))
+                if rng.randrange(4) == 0:
+                    r[rng.randrange(1, n - 1)] = r[rng.randrange(n)]
+                gamma = rng.randrange(3)
+                base = Fraction(rng.randint(-9, 9), rng.choice(units))
+                unit = Fraction(rng.choice(units), rng.choice(units))
+                pts = tuple(base + unit * p ** gamma * (d + p * k) for k, d in enumerate(r))
+                if len(set(pts)) != n:
+                    continue
+            got = classify_window(SeqWindow(p, pts)).value
+            assert got == classify_triples(pts, p), (p, pts)
+            seen[got] = seen.get(got, 0) + 1
+        assert seen["pseudo_stationary"] > 600
+        assert seen["none"] > 500
+
     def test_convergent_pair_valuations_collapse(self):
         w = SeqWindow(2, (1, 3, 7, 15, 31))
         gaps = w.gap_valuations()
