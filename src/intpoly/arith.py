@@ -189,7 +189,7 @@ def padic_residue(x, p: int, precision: int) -> PAdicResidue:
     if precision < 1:
         raise DomainError("precision must be >= 1")
     x = Fraction(x)
-    if _vp(x, p) < 0:
+    if x.denominator % p == 0:
         raise DomainError(f"{x} has negative valuation at p={p}")
     modulus = p ** precision
     return PAdicResidue(p, x.numerator * pow(x.denominator, -1, modulus) % modulus, precision)

@@ -14,6 +14,10 @@ renderer of its text from that payload where the text is not the payload's
 `key: value` mirror.  `_convert` turns the option text into values, in
 declared order, before the payload function runs.  Adding a subcommand is
 one such row and a case in tests/golden_cli.json.
+
+At module level only `arith` and `poly` are imported; the converters and
+payload functions import the rest of the library when they run, so a
+request loads the modules of its own subcommand and no others.
 """
 from __future__ import annotations
 
@@ -23,47 +27,7 @@ import json
 import sys
 
 from .arith import DomainError, InputParseError, parse_rational
-from .example_lab import _POLY_FIELDS, ExampleCertificate, bounded_search, verify_known_solution
-from .matrices import (
-    idempotent_check,
-    poly_det2,
-    poly_mat_mul,
-    poly_trace,
-    require_2x2,
-    snf_with_transforms,
-    strong_bezout_z,
-    trace_combination_search,
-    trace_combination_z,
-    trace_normalize,
-    ucs_pair_check,
-    unit_content_decide,
-)
 from .poly import MAX_DEGREE, Polynomial, _height, parse_polynomial, residue_image
-from .sequences import (
-    SeqWindow,
-    classify_window,
-    image_window_classify,
-    is_pseudo_limit,
-    require_window_length,
-)
-from .spectrum import (
-    MaxCompletion,
-    MaxSequence,
-    MaxTrivial,
-    ideal_membership,
-    parse_ideal,
-    residue_representative,
-    separation_check,
-)
-from .vorder import (
-    ALL_INTEGERS,
-    MembershipTarget,
-    SubsetDescriptor,
-    expand_in_basis,
-    int_membership,
-    regular_basis,
-    v_ordering,
-)
 
 # -- option values ----------------------------------------------------------
 
@@ -72,7 +36,9 @@ def _parse_points(text: str) -> tuple:
     return tuple(parse_rational(s) for s in text.split(","))
 
 
-def _parse_window(args) -> SeqWindow:
+def _parse_window(args):
+    from .sequences import SeqWindow, require_window_length
+
     require_window_length(args.seq)
     return SeqWindow(args.p, _parse_points(args.seq))
 
@@ -112,9 +78,11 @@ def _snf_matrix(args) -> tuple:
     return matrix
 
 
-def _parse_set(args) -> SubsetDescriptor:
+def _parse_set(args):
     """The set --set and --all name; a subcommand without --all reads a
     missing --set as all integers."""
+    from .vorder import ALL_INTEGERS, SubsetDescriptor
+
     every = getattr(args, "all", None)
     if every and args.set is not None:
         raise InputParseError("--set and --all are mutually exclusive")
@@ -125,9 +93,17 @@ def _parse_set(args) -> SubsetDescriptor:
     return ALL_INTEGERS
 
 
+def _parse_ideal(args):
+    from .spectrum import parse_ideal
+
+    return parse_ideal(args.ideal)
+
+
 def _read_certificate(args):
     """The certificate `example verify --stdin` reads; None otherwise."""
     if args.stdin and args.action == "verify":
+        from .example_lab import ExampleCertificate
+
         try:
             record = json.loads(sys.stdin.read())
         except RecursionError:
@@ -181,12 +157,15 @@ def _request_points(args) -> list:
         points += seq.points
     if getattr(args, "x", None) is not None:
         points.append(args.x)
-    if isinstance(ideal, MaxTrivial):
-        points.append(ideal.a)
-    elif isinstance(ideal, MaxSequence):
-        points += ideal.window.points
-    elif isinstance(ideal, MaxCompletion):
-        points.append(ideal.x.value)
+    if ideal is not None:
+        from .spectrum import MaxCompletion, MaxSequence, MaxTrivial
+
+        if isinstance(ideal, MaxTrivial):
+            points.append(ideal.a)
+        elif isinstance(ideal, MaxSequence):
+            points += ideal.window.points
+        elif isinstance(ideal, MaxCompletion):
+            points.append(ideal.x.value)
     return points
 
 
@@ -217,7 +196,7 @@ _SET = _opt("--set", _parse_set, help=_POINTS)
 _ALL = _opt("--all", action="store_true", help="the set of all integers")
 _SEQ = _opt("--seq", _parse_window, required=True, help=_POINTS)
 _IDEAL = _opt(
-    "--ideal", lambda a: parse_ideal(a.ideal), required=True,
+    "--ideal", _parse_ideal, required=True,
     help="pq:|max:|comp:|seq:|iem: spec",
 )
 _B = _opt("--B", lambda a: _parse_matrix(a.B, parse_polynomial), required=True, help=_MATRIX)
@@ -259,6 +238,8 @@ def _rows(matrix) -> str:
 
 
 def _certificate_lines(cert: dict) -> list:
+    from .example_lab import _POLY_FIELDS
+
     lines = [f"{name:<5} = {cert[name]}" for name in _POLY_FIELDS]
     lines[3] += f" (sign {cert['sign']:+d})"
     return lines + [f"check {name}: {_word(ok)}" for name, ok in cert["checks"].items()]
@@ -275,8 +256,9 @@ _COMMANDS: dict = {}
 
 def _command(name: str, summary: str, *options, render=_mirror):
     """Register the decorated payload function as subcommand `name`.  It and
-    `render` call the library through this module's globals at call time, so
-    a function replaced here (traced, or patched in a test) is the one used."""
+    `render` import what they call from its module at call time, so a run
+    loads only the modules of its subcommand, and a function replaced in its
+    module (traced, or patched in a test) is the one used."""
 
     def register(payload):
         _COMMANDS[name] = (summary, options, payload, render)
@@ -294,6 +276,8 @@ def _last_index(a, otherwise):
 
 @_command("vorder", "greedy ordering with step valuations", _SET, _ALL, _P, _N)
 def _vorder(a):
+    from .vorder import v_ordering
+
     n = _last_index(a, None)
     if n is None:
         raise InputParseError("--n is required with --all")
@@ -307,6 +291,8 @@ def _vorder(a):
     render=lambda p, a: [f"f_{p['k']} = {p['basis']}"],
 )
 def _basis(a):
+    from .vorder import regular_basis, v_ordering
+
     fk = regular_basis(v_ordering(a.set, _last_index(a, a.k), a.p), a.k)
     return {"k": a.k, "basis": str(fk)}
 
@@ -316,6 +302,8 @@ def _basis(a):
     render=lambda p, a: ["c: " + _word(p["coefficients"])],
 )
 def _expand(a):
+    from .vorder import expand_in_basis, v_ordering
+
     vord = v_ordering(a.set, _last_index(a, max(a.poly.degree, 0)), a.p)
     coeffs = expand_in_basis(a.poly, vord)
     return {"points": [str(x) for x in vord.points], "coefficients": [str(c) for c in coeffs]}
@@ -326,6 +314,8 @@ def _expand(a):
     _opt("--target", choices=("v", "m"), default="v"),
 )
 def _member(a):
+    from .vorder import MembershipTarget, int_membership
+
     return {"member": int_membership(a.poly, a.set, a.p, MembershipTarget(a.target))}
 
 
@@ -342,8 +332,10 @@ def _residues(a):
     render=lambda p, a: [f"class: {p['class']}", "gap valuations: " + _word(p["gapValuations"])],
 )
 def _classify(a):
+    from .sequences import _classify_gaps
+
     gaps = a.seq.gap_valuations()
-    return {"class": classify_window(a.seq).value, "gapValuations": [str(v) for v in gaps]}
+    return {"class": _classify_gaps(a.seq, gaps).value, "gapValuations": [str(v) for v in gaps]}
 
 
 @_command(
@@ -352,11 +344,15 @@ def _classify(a):
     render=lambda p, a: [f"pseudo-limit: {_word(p['pseudo_limit'])}"],
 )
 def _pseudolimit(a):
+    from .sequences import is_pseudo_limit
+
     return {"pseudo_limit": is_pseudo_limit(a.x, a.seq)}
 
 
 @_command("imageclass", "classify the image of a window", _P, _SEQ, _POLY)
 def _imageclass(a):
+    from .sequences import image_window_classify
+
     start, cls, dichotomy = image_window_classify(a.poly, a.seq)
     return {"suffix_start": start, "class": cls.value, "dichotomy": dichotomy.value}
 
@@ -372,6 +368,8 @@ def _render_ideal(p, a):
     render=_render_ideal,
 )
 def _ideal(a):
+    from .spectrum import ideal_membership
+
     verdict = ideal_membership(a.poly, a.ideal, a.set)
     payload = {"verdict": verdict.value}
     if verdict.reason:
@@ -385,6 +383,8 @@ def _ideal(a):
     render=lambda p, a: [f"representative: {p.get('residue', 'unknown')}"],
 )
 def _representative(a):
+    from .spectrum import residue_representative
+
     s = residue_representative(a.poly, a.ideal, a.set)
     return {"verdict": "unknown"} if s is None else {"verdict": "yes", "residue": s}
 
@@ -398,6 +398,8 @@ def _render_frisch(p, a):
 
 @_command("frisch", "residue separation product check", _POLY, _P, render=_render_frisch)
 def _frisch(a):
+    from .spectrum import separation_check
+
     residues, in_ideal = separation_check(a.poly, a.p)
     return {"residues": sorted(residues), "product_in_ideal": in_ideal}
 
@@ -408,6 +410,8 @@ def _frisch(a):
     render=lambda p, a: [f"{name}: {_rows(p[name])}" for name in "USW"],
 )
 def _snf(a):
+    from .matrices import snf_with_transforms
+
     result = snf_with_transforms(a.matrix)
     payload = {name: [list(r) for r in getattr(result, name)] for name in "USW"}
     payload["diagonal"] = list(result.diagonal)
@@ -429,6 +433,8 @@ def _render_bezout4(p, a):
     render=_render_bezout4,
 )
 def _bezout4(a):
+    from .matrices import strong_bezout_z
+
     alpha, beta, gamma, delta = strong_bezout_z(a.a, a.b, a.c, a.d)
     return {
         "alpha": alpha,
@@ -459,6 +465,8 @@ def _render_content(p, a):
     render=_render_content,
 )
 def _content(a):
+    from .matrices import unit_content_decide
+
     return unit_content_decide(a.entries).to_json()
 
 
@@ -472,6 +480,8 @@ def _render_ucs(p, a):
 
 @_command("ucs", "pair check for the 2x2 matrix criterion", _B, _C, render=_render_ucs)
 def _ucs(a):
+    from .matrices import ucs_pair_check
+
     return ucs_pair_check(a.B, a.C).to_json()
 
 
@@ -482,6 +492,16 @@ def _ucs(a):
     render=lambda p, a: ["C0: " + _rows(p["C0"])],
 )
 def _tracenorm(a):
+    from .matrices import (
+        poly_det2,
+        poly_mat_mul,
+        poly_trace,
+        require_2x2,
+        trace_combination_search,
+        trace_combination_z,
+        trace_normalize,
+    )
+
     B, C, comb = a.B, a.C, a.comb
     require_2x2("trace normalization", B, C)
     if comb and len(comb) != 4:
@@ -510,6 +530,8 @@ def _tracenorm(a):
     _opt("--M", lambda a: _parse_matrix(a.M, parse_polynomial), required=True, help=_MATRIX),
 )
 def _idem(a):
+    from .matrices import idempotent_check
+
     idem, nontrivial = idempotent_check(a.M)
     return {"idempotent": idem, "nontrivial": nontrivial}
 
@@ -537,6 +559,8 @@ def _render_example(p, a):
     render=_render_example,
 )
 def _example(a):
+    from .example_lab import bounded_search, verify_known_solution
+
     if a.action == "search":
         certs = bounded_search(a.max_deg, a.max_height, a.budget)
         return {"count": len(certs), "certificates": [c.to_json() for c in certs]}

@@ -64,7 +64,7 @@ class SeqWindow:
         if len(set(pts)) != len(pts):
             raise DomainError("window points must be pairwise distinct")
         for x in pts:
-            if _vp(x, self.p) < 0:
+            if x.denominator % self.p == 0:
                 raise DomainError(f"window point {x} is not p-integral at p={self.p}")
 
     def __len__(self):
@@ -97,7 +97,11 @@ def classify_window(w: SeqWindow) -> WindowClass:
     last), so the window is stationary exactly when the points but the last,
     and the points but the first, are each distinct mod p^(gamma+1).
     """
-    gaps = w.gap_valuations()
+    return _classify_gaps(w, w.gap_valuations())
+
+
+def _classify_gaps(w: SeqWindow, gaps: list) -> WindowClass:
+    """`classify_window(w)` from `gaps`, the list `w.gap_valuations()`."""
     if _strictly_increasing(gaps):
         return WindowClass.PSEUDO_CONVERGENT
     if _strictly_decreasing(gaps):

@@ -44,7 +44,7 @@ class SubsetDescriptor:
         require_prime(p)
         if self.is_finite:
             for x in self.points:
-                if _vp(x, p) < 0:
+                if x.denominator % p == 0:
                     raise DomainError(f"point {x} is not p-integral at p={p}")
 
     def contains(self, x: Fraction) -> bool:

@@ -175,7 +175,7 @@ class TestExitCodes:
         def broken(M):
             raise ZeroDivisionError("boom")
 
-        monkeypatch.setattr("intpoly.cli.idempotent_check", broken)
+        monkeypatch.setattr("intpoly.matrices.idempotent_check", broken)
         code, out, _ = run_cli(capsys, "idem", "--M", "1,0;0,0", "--json")
         assert code == 1
         assert json.loads(out) == {
@@ -495,6 +495,14 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["class"] == "pseudo_convergent"
         assert payload["gapValuations"] == ["1", "2", "3"]
+
+    def test_classify_takes_the_gaps_once(self, capsys, monkeypatch):
+        from intpoly.sequences import SeqWindow
+
+        taken, real = [], SeqWindow.gap_valuations
+        monkeypatch.setattr(SeqWindow, "gap_valuations", lambda w: taken.append(w) or real(w))
+        assert run_cli(capsys, "classify", "--p", "2", "--seq", "1,3,7,15")[0] == 0
+        assert len(taken) == 1
 
     def test_pseudolimit(self, capsys):
         _, out, _ = run_cli(

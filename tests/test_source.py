@@ -1,9 +1,10 @@
 """Source hygiene of the package, read from its syntax trees: exact means no
-floating point, and every import is used.  README's Limits table names each
-cap's constant and shows its value."""
+floating point, every import is used, and the modules load by need.
+README's Limits table names each cap's constant and shows its value."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,75 @@ def test_no_unused_import(path):
             used.add(node.id)
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, unused
+
+
+def _module_level_imports(path: Path) -> list:
+    """(line, module) of each import that runs when the module loads, that is
+    outside a function; a relative module is written with its leading dots."""
+    found = []
+    stack = list(_tree(path).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _package(path_name: str) -> Path:
+    return next(p for p in SOURCES if p.name == path_name)
+
+
+def test_package_init_loads_no_module():
+    found = [
+        (line, name)
+        for line, name in _module_level_imports(_package("__init__.py"))
+        if name.startswith(".") or name.partition(".")[0] == "intpoly"
+    ]
+    assert not found, found
+
+
+def test_cli_loads_only_arith_and_poly():
+    allowed = {".arith", ".poly"}
+    found = [
+        (line, name)
+        for line, name in _module_level_imports(_package("cli.py"))
+        if name not in allowed and name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not found, found
+
+
+def _defined_names(path: Path) -> set:
+    """The names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_exports_name_what_their_module_defines():
+    init = _tree(_package("__init__.py"))
+    (table,) = [
+        node.value for node in init.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_EXPORTS"]
+    ]
+    exports = ast.literal_eval(table)
+    missing = {
+        module: sorted(set(names) - _defined_names(_package(f"{module}.py")))
+        for module, names in exports.items()
+    }
+    assert not any(missing.values()), missing
+    every = [name for names in exports.values() for name in names]
+    assert len(every) == len(set(every))
 
 
 def _limits_rows() -> list:
