@@ -66,15 +66,31 @@ def _parse_int(text: str) -> int:
 # (Python 3.11, 2-core Xeon)
 MAX_SNF_SIDE = 64
 
+# an `snf` matrix of r rows and c columns whose entries are at most 2^h in
+# size keeps r * c * h at most MAX_SNF_BITS.  The transforms' entries grow
+# with it: at the cap, square matrices of side 64, 48, 32 and 16 reached
+# matrices.MAX_SNF_HEIGHT and were refused in 1.3, 0.9, 0.44 and 0.17 s,
+# and 64 x 16 and 16 x 64 answered in 0.5 and 0.25 s; 64 x 64 near 2^64,
+# four times the cap, took 2.6 s to that refusal (Python 3.11, 2-core Xeon)
+MAX_SNF_BITS = 2**16
+
 
 def _snf_matrix(args) -> tuple:
-    """The integer matrix of --matrix, refused above MAX_SNF_SIDE rows or columns."""
+    """The integer matrix of --matrix, refused above MAX_SNF_SIDE rows or
+    columns, or with entries above 2^(MAX_SNF_BITS / (rows * columns))."""
     matrix = _parse_matrix(args.matrix, _parse_int)
-    for size, unit in ((len(matrix), "rows"), (len(matrix[0]), "columns")):
+    rows, columns = len(matrix), len(matrix[0])
+    for size, unit in ((rows, "rows"), (columns, "columns")):
         if size > MAX_SNF_SIDE:
             raise InputParseError(
                 f"a matrix of {size} {unit} exceeds the cap of {MAX_SNF_SIDE} {unit}"
             )
+    height = max(abs(x) for row in matrix for x in row).bit_length()
+    if rows * columns * height > MAX_SNF_BITS:
+        raise InputParseError(
+            f"an entry of size up to 2^{height} exceeds the cap of "
+            f"2^{MAX_SNF_BITS // (rows * columns)} at {rows} x {columns}"
+        )
     return matrix
 
 

@@ -14,7 +14,9 @@ from .arith import DomainError, ext_gcd
 from .poly import (
     MAX_RESIDUE_CLASSES,
     Polynomial,
-    _residue_sweep,
+    _horner,
+    _reduced_numerators,
+    _sweep_classes,
     bezout_gcd_many,
     is_int_valued,
     residue_period_exp,
@@ -365,18 +367,23 @@ def unit_content_decide(entries) -> ContentVerdict:
     for p in _content_primes(c):
         # every entry's values mod p are constant on the classes mod p^exp
         exp = max(1, *(residue_period_exp(e, p) for e in entries))
+        classes = _sweep_classes(p, exp)
+        reduced = [_reduced_numerators(e, p) for e in entries]
         table = {}
-        sweeps = zip(*(_residue_sweep(e, p, exp) for e in entries))
-        for alpha, residues in enumerate(sweeps):
-            units = [i for i, r in enumerate(residues) if r]
-            if not units:
+        # class by class, entry by entry, up to the first entry that is a
+        # unit there; a class where none is ends the sweep as the witness
+        for alpha in range(classes):
+            for i, (F, modulus) in enumerate(reduced):
+                if _horner(F, alpha) % modulus:
+                    table[alpha] = i
+                    break
+            else:
                 return ContentVerdict(
                     unit=False,
                     witness_prime=p,
                     witness_residue=alpha,
                     witness_modulus_exp=exp,
                 )
-            table[alpha] = units[0]
         coverage[p] = table
     return ContentVerdict(unit=True, c=c, multipliers=int_mults, coverage=coverage)
 

@@ -18,6 +18,13 @@ text and once per parenthesised group.  Fractions are built only where a
 value leaves the class: `coeffs`, `coefficient`, `leading_coefficient`,
 `constant_value`, the value of `__call__` and `to_binomial_basis`, which
 divides the integer forward differences by m.
+
+`__call__` runs Horner on integers at an integral point: an int, a bool or
+a rational of denominator 1, which is what finite sets, windows and `max:`
+points hold.  Any other point still takes Fraction Horner.  Its integer
+form, Horner on the homogenised numerator and denominator, is faster but
+raises the benchmark's peak memory past its bound, because that memory
+grows with the operations a run completes (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -224,10 +231,13 @@ class Polynomial:
         return (other % self).is_zero
 
     def __call__(self, x):
-        # an int point stays in integers; bool, Fraction and other points,
-        # integral or not, take Fraction arithmetic
+        # an integral point (int, bool, or a rational of denominator 1) runs
+        # Horner on its integer numerator; any other point still takes
+        # Fraction Horner (see the module docstring for why)
         if type(x) is not int:
             x = Fraction(x)
+            if x.denominator == 1:
+                x = x.numerator
         return Fraction(_horner(self._F, x), self._m)
 
     @staticmethod
@@ -631,16 +641,30 @@ def _residue_sweep(f: Polynomial, p: int, exp: int) -> list:
     """f(x) mod p for x = 0 .. p^exp - 1, at most MAX_RESIDUE_CLASSES, as
     (F(x)/p^v) * (m/p^v)^-1 mod p with v = v_p(m), from F mod p^(v+1).  p
     prime and f p-integral on Z are the caller's to ensure."""
-    if p ** exp > MAX_RESIDUE_CLASSES:
+    classes = _sweep_classes(p, exp)
+    F, modulus = _reduced_numerators(f, p)
+    unit = modulus // p
+    inverse = pow(f._m // unit, -1, p)
+    return [_horner(F, x) % modulus // unit * inverse % p for x in range(classes)]
+
+
+def _sweep_classes(p: int, exp: int) -> int:
+    """p^exp, the classes of one sweep, refused above MAX_RESIDUE_CLASSES."""
+    classes = p ** exp
+    if classes > MAX_RESIDUE_CLASSES:
         raise DomainError(
             f"sweeping {p}^{exp} residue classes exceeds the cap of "
             f"{MAX_RESIDUE_CLASSES} classes"
         )
-    unit = p ** vp_int(f._m, p)
-    modulus = unit * p
-    F = [c % modulus for c in f._F]
-    inverse = pow(f._m // unit, -1, p)
-    return [_horner(F, x) % modulus // unit * inverse % p for x in range(p ** exp)]
+    return classes
+
+
+def _reduced_numerators(f: Polynomial, p: int) -> tuple:
+    """(F mod q, q) with q = p^(v+1), v = v_p(m).  Where f is p-integral,
+    F(x) is p^v times an integer, so f(x) = 0 mod p exactly when F(x) = 0
+    mod q."""
+    modulus = p ** (vp_int(f._m, p) + 1)
+    return [c % modulus for c in f._F], modulus
 
 
 # -- gcd and square roots in Q[X] --------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intpoly import INF, DomainError, PAdicResidue, ext_gcd, padic_residue, vp
-from intpoly.arith import PRIMALITY_BOUND, is_prime, require_prime
+from intpoly.arith import PRIMALITY_BOUND, is_prime, require_prime, vp_int
+
+from oracles import int_valuation
 
 nonzero_rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=1000
@@ -17,6 +19,22 @@ def test_vp_examples():
     assert vp(12, 2) == 2
     assert vp(0, 5) is INF
     assert vp(Fraction(9, 10), 5) == -1
+
+
+def test_vp_int_matches_the_one_step_loop():
+    # every exponent across the one-at-a-time steps and the squares, seeded
+    # exponents up to 5,000, and the window i * 2^200
+    rng = random.Random(5000)
+    cases = [(p, k) for p in (2, 3, 1000003) for k in range(70)]
+    cases += [(rng.choice((2, 3, 5, 7, 1000003)), rng.randint(0, 5000)) for _ in range(40)]
+    cases += [(2, 5000), (3, 4999)]
+    for p, k in cases:
+        n = rng.choice((1, -1)) * p**k * rng.randint(1, 10**12)
+        assert vp_int(n, p) == int_valuation(n, p), (p, k)
+    for i in range(1, 1601):
+        assert vp_int(i * 2**200, 2) == 200 + int_valuation(i, 2)
+    with pytest.raises(ValueError):
+        vp_int(0, 2)
 
 
 def test_vp_rejects_composite():

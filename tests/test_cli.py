@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from intpoly.cli import _COMMANDS, MAX_SNF_SIDE, build_parser, main
+from intpoly.cli import _COMMANDS, MAX_SNF_BITS, MAX_SNF_SIDE, build_parser, main
 from intpoly.matrices import MAX_SNF_HEIGHT
 from intpoly.sequences import MAX_WINDOW_POINTS
 
@@ -354,6 +354,26 @@ class TestExitCodes:
         error = json.loads(out)["error"]
         assert (code, error["kind"]) == (1, "domain_error")
         assert error["message"].endswith(f"exceed the cap of 2^{MAX_SNF_HEIGHT}")
+
+    def test_snf_bits_cap(self, capsys):
+        # 64 x 64 near 2^64 was refused by the height cap only after 2.6-2.9 s
+        rng = random.Random(1)
+        matrix = ";".join(",".join(str(rng.randint(-2**64, 2**64)) for _ in range(64)) for _ in range(64))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "snf", "--matrix", matrix, "--json")
+        assert time.perf_counter() - start < 1.0
+        message = "an entry of size up to 2^64 exceeds the cap of 2^16 at 64 x 64"
+        assert (code, json.loads(out)) == (2, {"error": {"kind": "parse_error", "message": message}})
+        # 64 x 2: entries up to 2^512 are at the cap, one bit more is over it
+        at_cap = MAX_SNF_BITS // (64 * 2)
+        for bits, expected in ((at_cap, 0), (at_cap + 1, 2)):
+            column = [str(rng.randint(1, 2**bits - 1) | 1 << bits - 1) for _ in range(128)]
+            matrix = ";".join(",".join(column[2 * i:2 * i + 2]) for i in range(64))
+            code, out, _ = run_cli(capsys, "snf", "--matrix", matrix, "--json")
+            assert code == expected, json.loads(out)
+        assert json.loads(out)["error"]["message"] == (
+            f"an entry of size up to 2^{at_cap + 1} exceeds the cap of 2^{at_cap} at 64 x 2"
+        )
 
     def test_point_cap_admits_the_cap(self, capsys):
         # degree 2 times a point of height 2048, 2^2048 itself, is at the cap

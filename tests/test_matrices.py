@@ -325,6 +325,67 @@ class TestUnitContent:
         assert {(p, "residue") for p in (2, 3, 5)} <= {s[:2] for s in seen}
         assert max(exp for _, _, exp in seen) >= 3
 
+    def test_walk_matches_full_sweeps_seeded(self):
+        # the class-by-class walk against every entry's whole sweep list,
+        # zipped: the same coverage tables and the same first witness
+        from intpoly.poly import _residue_sweep
+
+        def full_sweeps(entries, p, exp):
+            table = {}
+            for alpha, residues in enumerate(zip(*(_residue_sweep(e, p, exp) for e in entries))):
+                units = [i for i, r in enumerate(residues) if r]
+                if not units:
+                    return table, alpha
+                table[alpha] = units[0]
+            return table, None
+
+        rng = random.Random(2014)
+        seen = set()
+        for _ in range(120):
+            p = rng.choice((2, 3, 5, 101, 997, 9973))
+            entries = [Polynomial.constant(p * rng.choice((1, 1, 2, 3)))]
+            for _ in range(rng.randrange(1, 3)):
+                e = from_binomial_basis([rng.randint(-6, 6) for _ in range(rng.randrange(2, 6))])
+                entries.insert(rng.randrange(len(entries) + 1), e * rng.choice((1, 1, p)))
+            if any(e.is_zero for e in entries):
+                continue
+            try:
+                verdict = unit_content_decide(entries)
+            except DomainError:
+                continue  # a content prime above the sweep cap
+            if verdict.unit:
+                for q, table in verdict.coverage.items():
+                    assert (table, None) == full_sweeps(entries, q, _period_exp(entries, q))
+                    seen.add((q > 5, "unit"))
+            elif verdict.witness_prime is not None:
+                q, exp = verdict.witness_prime, verdict.witness_modulus_exp
+                assert full_sweeps(entries, q, exp)[1] == verdict.witness_residue
+                seen.add((q > 5, "residue"))
+        assert seen == {(small, kind) for small in (False, True) for kind in ("unit", "residue")}
+
+    def test_walk_stops_at_the_witness(self, monkeypatch):
+        # (99991, (X^2+1)(X^3+2)X^2 - 1): the witness is class 17,518 of
+        # 99,991, and the walk evaluates both entries at each class up to it
+        # and at no class after it
+        from intpoly import matrices
+
+        evaluations = 0
+        horner = matrices._horner
+
+        def counted(F, x):
+            nonlocal evaluations
+            evaluations += 1
+            return horner(F, x)
+
+        monkeypatch.setattr(matrices, "_horner", counted)
+        f = (X**2 + 1) * (X**3 + 2) * X**2 - 1
+        verdict = unit_content_decide((Polynomial.constant(99991), f))
+        assert verdict.to_json() == {
+            "unit": False,
+            "witness": {"kind": "residue", "p": 99991, "residue": 17518, "modulus_exp": 1},
+        }
+        assert evaluations == 2 * 17519
+
     def test_verdicts_agree_with_membership_seeded(self):
         # the paper's identity: a class that a unit certificate covers with
         # entry i is a maximal ideal max:p,alpha that entry i lies outside,

@@ -587,6 +587,33 @@ class TestIntegerForm:
             assert _fraction_constructions(lambda: residue_image(g, p)) == 0
             assert residue_image(g, p) == reference_residue_image(ReferencePolynomial(f.coeffs), p)
 
+    def test_evaluation_matches_fraction_horner_seeded(self):
+        rng = random.Random(2020)
+        huge = 2**MAX_HEIGHT
+        cases = [[], [Fraction(-4, 9)], [huge - 1, Fraction(1, huge - 3), -huge + 5]]
+        for _ in range(60):
+            cases.append(_seeded_coefficients(rng, rng.randrange(0, 9), rng.choice((3, 40))))
+        for coeffs in cases:
+            f, ref = Polynomial(coeffs), ReferencePolynomial(coeffs)
+            points = [True, False, 0, -1, rng.randint(-10**6, 10**6), huge - rng.randrange(9)]
+            points += [Fraction(rng.randint(-99, 99)), Fraction(-(huge - 1)), Fraction(huge + 3, 1)]
+            points += [Fraction(rng.randint(-99, 99), rng.randint(2, 99)) for _ in range(3)]
+            points += [Fraction(huge - 1, huge - 3), Fraction(3, huge)]
+            for x in points:
+                value = f(x)
+                assert type(value) is Fraction and value == ref(x), (coeffs, x)
+
+    def test_integral_points_evaluate_on_integers(self):
+        # the point's conversion and the value are the only Fractions built,
+        # whatever the degree; a non-integral point still takes Fraction Horner
+        rng = random.Random(2021)
+        for deg in (0, 3, 12):
+            f = Polynomial(_seeded_coefficients(rng, deg, 20))
+            assert _fraction_constructions(lambda: f(5)) == 1
+            for x in (True, Fraction(-7), Fraction(2**MAX_HEIGHT + 1)):
+                assert _fraction_constructions(lambda: f(x)) == 2
+        assert _fraction_constructions(lambda: f(Fraction(1, 3))) > 12
+
     def test_arithmetic_builds_no_fraction(self):
         rng = random.Random(78)
         f = Polynomial(_seeded_coefficients(rng, 6, 20))
