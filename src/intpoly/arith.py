@@ -1,4 +1,5 @@
-"""Exact base arithmetic: p-adic valuations, extended gcd, finite-precision residues.
+"""Exact base arithmetic: p-adic valuations, extended gcd, finite-precision
+residues, and `Record`, the base of the package's immutable records.
 
 Everything here is pure and exact.  Rationals are `fractions.Fraction`
 throughout the package; valuations are plain ints except for the valuation
@@ -6,8 +7,60 @@ of zero, which is the `INF` sentinel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+
+class Record:
+    """Base of the package's immutable records, in place of a frozen dataclass
+    (`dataclasses` loads `inspect` and `ast`, which the package does not).
+
+    A subclass lists its fields as annotations, with any default as a class
+    attribute.  It gets an `__init__` that stores them, in order, as the
+    whole of the instance's `__dict__` and then calls `__post_init__` if the
+    class has one (which sets a field by object.__setattr__).  A record is
+    equal only to a record of its own class with equal fields; hash and repr
+    read the fields in order, as a dataclass's do.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        if not names:
+            return  # a subclass without fields of its own keeps its base's
+        defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+        lines = [f"def __init__(self, {params}):", "    d = self.__dict__"]
+        lines += [f"    d[{n!r}] = {n}" for n in names]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace = {"_defaults": defaults}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A record of the same class with the given fields changed,
+        validated again."""
+        return type(self)(**{**self.__dict__, **changes})
 
 
 class DomainError(ValueError):
@@ -182,8 +235,7 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class PAdicResidue:
+class PAdicResidue(Record):
     """An approximation `value mod p^precision` of a p-adic integer."""
 
     p: int

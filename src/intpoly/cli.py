@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .arith import DomainError, InputParseError, parse_rational
@@ -703,7 +704,16 @@ def _emit_error(json_mode: bool, kind: str, message: str) -> None:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output: exit 1 without a traceback, with
+        # the descriptor pointed at devnull so that the interpreter's last
+        # flush of what is still buffered does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,11 +8,10 @@ recomputed from scratch, so certificates can be re-verified independently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import product
 from math import lcm
 
-from .arith import DomainError, InputParseError
+from .arith import DomainError, InputParseError, Record
 from .matrices import (
     idempotent_check,
     poly_det2,
@@ -59,8 +58,7 @@ class SolutionFailure(DomainError):
 _POLY_FIELDS = ("beta", "gamma", "f", "g", "u", "alpha", "delta")
 
 
-@dataclass(frozen=True)
-class ExampleCertificate:
+class ExampleCertificate(Record):
     """A full solution record: 2*alpha + (X+1)*beta + X*gamma + 3*delta == 1
     with alpha*delta == beta*gamma, all parts integer-valued, and the
     equivalent matrix facts for C = [[alpha, beta], [gamma, delta]]."""
@@ -218,7 +216,7 @@ def verify_known_solution() -> ExampleCertificate:
         except SolutionFailure as exc:
             failure = exc
             continue
-        return replace(cert, checks={**cert.checks, "printed_g_agreement": True})
+        return cert.replace(checks={**cert.checks, "printed_g_agreement": True})
     raise DomainError(f"known solution failed for both signs: {failure}")
 
 

@@ -6,11 +6,10 @@ idempotent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
-from .arith import DomainError, ext_gcd
+from .arith import DomainError, Record, ext_gcd
 from .poly import (
     MAX_RESIDUE_CLASSES,
     Polynomial,
@@ -65,8 +64,7 @@ def _require_snf_height(*rows) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """S = U * A * W with U, W unimodular and S diagonal with a divisibility chain."""
 
     U: tuple
@@ -258,8 +256,7 @@ def poly_trace(M) -> Polynomial:
 # -- content decision ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContentVerdict:
+class ContentVerdict(Record):
     """Outcome of the unit-content decision, with a checkable certificate.
 
     Unit verdicts carry a positive integer c in the ideal, integral
@@ -391,8 +388,7 @@ def unit_content_decide(entries) -> ContentVerdict:
 # -- pair checking and trace normalization --------------------------------------
 
 
-@dataclass(frozen=True)
-class UcsReport:
+class UcsReport(Record):
     """Checked facts about a candidate pair (B, C) and B's qualification."""
 
     content_unit: bool

@@ -19,17 +19,16 @@ value leaves the class: `coeffs`, `coefficient`, `leading_coefficient`,
 `constant_value`, the value of `__call__` and `to_binomial_basis`, which
 divides the integer forward differences by m.
 
-`__call__` runs Horner on integers at an integral point: an int, a bool or
-a rational of denominator 1, which is what finite sets, windows and `max:`
-points hold.  Any other point still takes Fraction Horner.  Its integer
-form, Horner on the homogenised numerator and denominator, is faster but
-raises the benchmark's peak memory past its bound, because that memory
-grows with the operations a run completes (ROADMAP item 1).
+`__call__` runs Horner on integers at every point: `_horner` on the
+numerator of an integral point (an int, a bool or a rational of
+denominator 1, which is what finite sets, windows and `max:` points hold),
+and `_horner_homogeneous` on the numerator and denominator of any other
+rational.  The only Fractions it builds are the point's conversion and the
+value.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm
@@ -38,6 +37,7 @@ from .arith import (
     INF,
     DomainError,
     InputParseError,
+    Record,
     require_prime,
     vp_int,
 )
@@ -231,13 +231,15 @@ class Polynomial:
         return (other % self).is_zero
 
     def __call__(self, x):
-        # an integral point (int, bool, or a rational of denominator 1) runs
-        # Horner on its integer numerator; any other point still takes
-        # Fraction Horner (see the module docstring for why)
+        # f = F/m at an integral point is F(x)/m; at r/s it is
+        # (sum F_k r^k s^(d+1-k)) / (s^(d+1) m), which Fraction reduces
         if type(x) is not int:
             x = Fraction(x)
-            if x.denominator == 1:
-                x = x.numerator
+            r, s = x.numerator, x.denominator
+            if s != 1:
+                value, scale = _horner_homogeneous(self._F, r, s)
+                return Fraction(value, scale * self._m)
+            x = r
         return Fraction(_horner(self._F, x), self._m)
 
     @staticmethod
@@ -331,13 +333,23 @@ def _pow(F, n: int) -> list:
     return result
 
 
-def _horner(F, x):
-    """The integer coefficient list F, ascending, evaluated at x: an int at
-    an int point, else a value of x's type."""
+def _horner(F, x: int) -> int:
+    """The integer coefficient list F, ascending, evaluated at the integer x."""
     acc = 0
     for c in reversed(F):
         acc = acc * x + c
     return acc
+
+
+def _horner_homogeneous(F, r: int, s: int) -> tuple:
+    """The integer coefficient list F, ascending, at r/s for integers r and
+    s != 0, as the pair (F(r/s) * s^(d+1), s^(d+1)) with d = len(F) - 1:
+    Horner on the homogenised form sum F_k r^k s^(d+1-k)."""
+    acc, scale = 0, 1
+    for c in reversed(F):
+        scale *= s
+        acc = acc * r + c * scale
+    return acc, scale
 
 
 # -- parsing ----------------------------------------------------------------
@@ -541,8 +553,7 @@ def binomial_poly(k: int) -> Polynomial:
     return result / factorial(k)
 
 
-@dataclass(frozen=True)
-class BinomialForm:
+class BinomialForm(Record):
     """Coefficients c_k of f = sum c_k * C(X, k)."""
 
     coeffs: tuple

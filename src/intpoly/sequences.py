@@ -8,11 +8,10 @@ test suite checks against the triple definition by brute force.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .arith import INF, DomainError, InputParseError, _vp, require_prime
+from .arith import INF, DomainError, InputParseError, Record, _vp, require_prime
 from .poly import Polynomial
 
 # the most points a parsed window may hold.  Classifying reads the
@@ -48,8 +47,7 @@ class ImageDichotomy(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class SeqWindow:
+class SeqWindow(Record):
     """At least three pairwise-distinct p-integral rationals, in order."""
 
     p: int

@@ -10,13 +10,13 @@ then the answer is UNKNOWN with a reason rather than a guess.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
     DomainError,
     InputParseError,
     PAdicResidue,
+    Record,
     padic_residue,
     require_prime,
     vp_int,
@@ -37,8 +37,7 @@ INSUFFICIENT_PRECISION = "insufficient_precision"
 WINDOW_AMBIGUOUS = "window_ambiguous"
 
 
-@dataclass(frozen=True)
-class TriVerdict:
+class TriVerdict(Record):
     value: str  # "yes" | "no" | "unknown"
     reason: str | None = None
 
@@ -71,8 +70,7 @@ def unknown(reason: str) -> TriVerdict:
 # -- the ideal kinds ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeAboveZero:
+class PrimeAboveZero(Record):
     """Height-one prime: multiples of a fixed monic nonconstant q."""
 
     q: Polynomial
@@ -87,8 +85,7 @@ class PrimeAboveZero:
         return f"pq:{self.q}"
 
 
-@dataclass(frozen=True)
-class MaxTrivial:
+class MaxTrivial(Record):
     """Maximal ideal of polynomials whose value at a fixed point a is non-unit."""
 
     p: int
@@ -102,8 +99,7 @@ class MaxTrivial:
         return f"max:p={self.p},a={self.a}"
 
 
-@dataclass(frozen=True)
-class MaxCompletion:
+class MaxCompletion(Record):
     """Maximal ideal attached to a finite-precision p-adic element."""
 
     x: PAdicResidue
@@ -116,8 +112,7 @@ class MaxCompletion:
         return f"comp:p={self.p},x={self.x.value},N={self.x.precision}"
 
 
-@dataclass(frozen=True)
-class MaxSequence:
+class MaxSequence(Record):
     """Maximal ideal attached to a pseudo-convergent window."""
 
     window: SeqWindow
@@ -135,8 +130,7 @@ class MaxSequence:
         return f"seq:p={self.p},pts={pts}"
 
 
-@dataclass(frozen=True)
-class IntEM:
+class IntEM(Record):
     """The ideal of polynomials mapping the whole set into the maximal ideal."""
 
     p: int

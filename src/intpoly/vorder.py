@@ -5,17 +5,15 @@ on a set, locally at one prime.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 from math import lcm, prod
 
-from .arith import DomainError, _vp, require_prime, vp_int
+from .arith import DomainError, Record, _vp, require_prime, vp_int
 from .poly import Polynomial, _binomial_valuation
 
 
-@dataclass(frozen=True)
-class SubsetDescriptor:
+class SubsetDescriptor(Record):
     """Either an explicit finite set of rationals or the symbolic set Z."""
 
     points: tuple | None  # None means "all rational integers"
@@ -43,9 +41,7 @@ class SubsetDescriptor:
     def require_p_integral(self, p: int) -> None:
         require_prime(p)
         if self.is_finite:
-            for x in self.points:
-                if x.denominator % p == 0:
-                    raise DomainError(f"point {x} is not p-integral at p={p}")
+            _require_p_integral(self.points, p)
 
     def contains(self, x: Fraction) -> bool:
         x = Fraction(x)
@@ -62,8 +58,14 @@ class SubsetDescriptor:
 ALL_INTEGERS = SubsetDescriptor.all_integers()
 
 
-@dataclass(frozen=True)
-class VOrdering:
+def _require_p_integral(points, p: int) -> None:
+    """No denominator of the points is divisible by p, a known prime."""
+    for x in points:
+        if x.denominator % p == 0:
+            raise DomainError(f"point {x} is not p-integral at p={p}")
+
+
+class VOrdering(Record):
     """A chosen ordering of points with the step valuations w(k).
 
     w[k] is the valuation of prod_{j<k}(points[k] - points[j]); the greedy
@@ -120,7 +122,7 @@ def v_ordering(E: SubsetDescriptor, n: int, p: int, tie_break: str = "min") -> V
         w = tuple(factorial_valuation(k, p) for k in range(n + 1))
         return VOrdering(E, p, points, w)
 
-    E.require_p_integral(p)
+    _require_p_integral(E.points, p)  # p was found prime above
     if len(E.points) < n + 1:
         raise DomainError(
             f"set of size {len(E.points)} cannot host an ordering of length {n + 1}"

@@ -1,8 +1,11 @@
 import argparse
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -479,6 +482,36 @@ class TestExitCodes:
         assert code == 1
         payload = json.loads(out)
         assert payload["error"]["kind"] == "domain_error"
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["example", "verify"], 1),
+            (["example", "verify"], 0),
+            (["vorder", "--all", "--p", "2", "--n", "20000"], 1),
+        ],
+        ids=["example verify, one line read", "example verify, none read", "vorder of 258 kB"],
+    )
+    def test_closed_stdout_exits_without_traceback(self, argv, lines):
+        """A reader that closes the pipe after one line, as `| head -1` does,
+        or before reading any, leaves no traceback on stderr.  The vorder
+        answer is larger than a pipe's buffer, and the unread answer is
+        written after the pipe closed, so those writers always find it
+        closed and exit 1."""
+        src = str(Path(__file__).parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "intpoly.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        assert code == 1 if argv[0] == "vorder" or not lines else code in (0, 1)
 
 
 class TestSubcommands:

@@ -95,3 +95,23 @@ def test_cli_request_loads_only_its_modules(argv, modules):
         f"    main({argv!r})"
     )
     assert json.loads(_run(code + LOADED)) == sorted(CLI_CORE + [f"intpoly.{m}" for m in modules])
+
+
+def test_no_module_loads_dataclasses():
+    """The records are built on `arith.Record`, so neither `dataclasses` nor
+    the `inspect` it imports is loaded by any module or by a request."""
+    code = """
+import contextlib, importlib, io, os, sys
+import intpoly
+for name in os.listdir(os.path.dirname(intpoly.__file__)):
+    if name.endswith('.py') and name != '__init__.py':
+        importlib.import_module('intpoly.' + name[:-3])
+from intpoly.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(['example', 'verify']) == 0
+print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))
+print(len([m for m in sys.modules if m.startswith('intpoly.')]))
+"""
+    loaded, count = _run(code).splitlines()
+    assert loaded == "[]"
+    assert int(count) == 8

@@ -605,14 +605,16 @@ class TestIntegerForm:
 
     def test_integral_points_evaluate_on_integers(self):
         # the point's conversion and the value are the only Fractions built,
-        # whatever the degree; a non-integral point still takes Fraction Horner
+        # whatever the degree, at integral points and, by the homogenised
+        # Horner, at non-integral ones too
         rng = random.Random(2021)
         for deg in (0, 3, 12):
             f = Polynomial(_seeded_coefficients(rng, deg, 20))
             assert _fraction_constructions(lambda: f(5)) == 1
             for x in (True, Fraction(-7), Fraction(2**MAX_HEIGHT + 1)):
                 assert _fraction_constructions(lambda: f(x)) == 2
-        assert _fraction_constructions(lambda: f(Fraction(1, 3))) > 12
+            for x in (Fraction(1, 3), Fraction(-7, 2), Fraction(5, 2**MAX_HEIGHT - 3)):
+                assert _fraction_constructions(lambda: f(x)) == 2
 
     def test_arithmetic_builds_no_fraction(self):
         rng = random.Random(78)

@@ -84,6 +84,21 @@ class TestVOrdering:
             with pytest.raises(DomainError):
                 int_membership(X, ALL_INTEGERS, p, target)
 
+    def test_errors_keep_their_precedence(self):
+        """The prime is checked first, then n and the tie-break, then the
+        points' integrality, then the size of the set."""
+        half = finite(Fraction(1, 2), 1)
+        cases = [
+            ((half, -1, 4), "4 is not prime"),
+            ((half, -1, 2), "ordering length must be >= 1"),
+            ((half, 2, 2, "mid"), "unknown tie_break 'mid'"),
+            ((half, 2, 2), "point 1/2 is not p-integral at p=2"),
+            ((half, 2, 3), "set of size 2 cannot host an ordering of length 3"),
+        ]
+        for args, message in cases:
+            with pytest.raises(DomainError, match=message):
+                v_ordering(*args)
+
     def test_greedy_matches_brute_force_smoke(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -180,12 +195,10 @@ class TestReferenceKernels:
             return real(p)
 
         monkeypatch.setattr(arith, "is_prime", counting)
-        counts = []
         for size in (4, 16):
             calls.clear()
             v_ordering(finite(*range(size)), size - 1, 1000003)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2
+            assert calls == [1000003]  # once, not again for the points
         f = X ** 9 / 1000003 + X
         for E in (finite(*range(16)), ALL_INTEGERS):
             for target in MembershipTarget:
