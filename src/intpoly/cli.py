@@ -15,9 +15,11 @@ renderer of its text from that payload where the text is not the payload's
 declared order, before the payload function runs.  Adding a subcommand is
 one such row and a case in tests/golden_cli.json.
 
-At module level only `arith` and `poly` are imported; the converters and
-payload functions import the rest of the library when they run, so a
-request loads the modules of its own subcommand and no others.
+At module level only `arith` and `poly` are imported.  The rest of the
+library is reached through the package, as `intpoly.vorder.v_ordering`,
+which loads a module on first use: a request loads the modules of its own
+subcommand only, and a function replaced in its module (traced, or patched
+in a test) is the one that runs.
 """
 from __future__ import annotations
 
@@ -25,10 +27,13 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .arith import DomainError, InputParseError, parse_rational
 from .poly import MAX_DEGREE, Polynomial, _height, parse_polynomial, residue_image
+
+intpoly = sys.modules[__package__]
 
 # -- option values ----------------------------------------------------------
 
@@ -38,10 +43,8 @@ def _parse_points(text: str) -> tuple:
 
 
 def _parse_window(args):
-    from .sequences import SeqWindow, require_window_length
-
-    require_window_length(args.seq)
-    return SeqWindow(args.p, _parse_points(args.seq))
+    intpoly.sequences.require_window_length(args.seq)
+    return intpoly.sequences.SeqWindow(args.p, _parse_points(args.seq))
 
 
 def _parse_polys(text: str) -> tuple:
@@ -98,34 +101,24 @@ def _snf_matrix(args) -> tuple:
 def _parse_set(args):
     """The set --set and --all name; a subcommand without --all reads a
     missing --set as all integers."""
-    from .vorder import ALL_INTEGERS, SubsetDescriptor
-
     every = getattr(args, "all", None)
     if every and args.set is not None:
         raise InputParseError("--set and --all are mutually exclusive")
     if args.set is not None:
-        return SubsetDescriptor.finite(_parse_points(args.set))
+        return intpoly.vorder.SubsetDescriptor.finite(_parse_points(args.set))
     if every is False:
         raise InputParseError("one of --set or --all is required")
-    return ALL_INTEGERS
-
-
-def _parse_ideal(args):
-    from .spectrum import parse_ideal
-
-    return parse_ideal(args.ideal)
+    return intpoly.vorder.ALL_INTEGERS
 
 
 def _read_certificate(args):
     """The certificate `example verify --stdin` reads; None otherwise."""
     if args.stdin and args.action == "verify":
-        from .example_lab import ExampleCertificate
-
         try:
             record = json.loads(sys.stdin.read())
         except RecursionError:
             raise InputParseError("certificate nested too deeply") from None
-        return ExampleCertificate.from_json(record)
+        return intpoly.example_lab.ExampleCertificate.from_json(record)
     return None
 
 
@@ -175,13 +168,11 @@ def _request_points(args) -> list:
     if getattr(args, "x", None) is not None:
         points.append(args.x)
     if ideal is not None:
-        from .spectrum import MaxCompletion, MaxSequence, MaxTrivial
-
-        if isinstance(ideal, MaxTrivial):
+        if isinstance(ideal, intpoly.spectrum.MaxTrivial):
             points.append(ideal.a)
-        elif isinstance(ideal, MaxSequence):
+        elif isinstance(ideal, intpoly.spectrum.MaxSequence):
             points += ideal.window.points
-        elif isinstance(ideal, MaxCompletion):
+        elif isinstance(ideal, intpoly.spectrum.MaxCompletion):
             points.append(ideal.x.value)
     return points
 
@@ -213,7 +204,7 @@ _SET = _opt("--set", _parse_set, help=_POINTS)
 _ALL = _opt("--all", action="store_true", help="the set of all integers")
 _SEQ = _opt("--seq", _parse_window, required=True, help=_POINTS)
 _IDEAL = _opt(
-    "--ideal", _parse_ideal, required=True,
+    "--ideal", lambda a: intpoly.spectrum.parse_ideal(a.ideal), required=True,
     help="pq:|max:|comp:|seq:|iem: spec",
 )
 _B = _opt("--B", lambda a: _parse_matrix(a.B, parse_polynomial), required=True, help=_MATRIX)
@@ -255,9 +246,7 @@ def _rows(matrix) -> str:
 
 
 def _certificate_lines(cert: dict) -> list:
-    from .example_lab import _POLY_FIELDS
-
-    lines = [f"{name:<5} = {cert[name]}" for name in _POLY_FIELDS]
+    lines = [f"{name:<5} = {cert[name]}" for name in intpoly.example_lab._POLY_FIELDS]
     lines[3] += f" (sign {cert['sign']:+d})"
     return lines + [f"check {name}: {_word(ok)}" for name, ok in cert["checks"].items()]
 
@@ -273,9 +262,8 @@ _COMMANDS: dict = {}
 
 def _command(name: str, summary: str, *options, render=_mirror):
     """Register the decorated payload function as subcommand `name`.  It and
-    `render` import what they call from its module at call time, so a run
-    loads only the modules of its subcommand, and a function replaced in its
-    module (traced, or patched in a test) is the one used."""
+    `render` look up what they call in its module, through the package, when
+    they run (see the module docstring)."""
 
     def register(payload):
         _COMMANDS[name] = (summary, options, payload, render)
@@ -293,12 +281,10 @@ def _last_index(a, otherwise):
 
 @_command("vorder", "greedy ordering with step valuations", _SET, _ALL, _P, _N)
 def _vorder(a):
-    from .vorder import v_ordering
-
     n = _last_index(a, None)
     if n is None:
         raise InputParseError("--n is required with --all")
-    vord = v_ordering(a.set, n, a.p)
+    vord = intpoly.vorder.v_ordering(a.set, n, a.p)
     return {"points": [str(x) for x in vord.points], "w": list(vord.w)}
 
 
@@ -308,9 +294,8 @@ def _vorder(a):
     render=lambda p, a: [f"f_{p['k']} = {p['basis']}"],
 )
 def _basis(a):
-    from .vorder import regular_basis, v_ordering
-
-    fk = regular_basis(v_ordering(a.set, _last_index(a, a.k), a.p), a.k)
+    vorder = intpoly.vorder
+    fk = vorder.regular_basis(vorder.v_ordering(a.set, _last_index(a, a.k), a.p), a.k)
     return {"k": a.k, "basis": str(fk)}
 
 
@@ -319,10 +304,9 @@ def _basis(a):
     render=lambda p, a: ["c: " + _word(p["coefficients"])],
 )
 def _expand(a):
-    from .vorder import expand_in_basis, v_ordering
-
-    vord = v_ordering(a.set, _last_index(a, max(a.poly.degree, 0)), a.p)
-    coeffs = expand_in_basis(a.poly, vord)
+    vorder = intpoly.vorder
+    vord = vorder.v_ordering(a.set, _last_index(a, max(a.poly.degree, 0)), a.p)
+    coeffs = vorder.expand_in_basis(a.poly, vord)
     return {"points": [str(x) for x in vord.points], "coefficients": [str(c) for c in coeffs]}
 
 
@@ -331,9 +315,8 @@ def _expand(a):
     _opt("--target", choices=("v", "m"), default="v"),
 )
 def _member(a):
-    from .vorder import MembershipTarget, int_membership
-
-    return {"member": int_membership(a.poly, a.set, a.p, MembershipTarget(a.target))}
+    target = intpoly.vorder.MembershipTarget(a.target)
+    return {"member": intpoly.vorder.int_membership(a.poly, a.set, a.p, target)}
 
 
 @_command(
@@ -349,10 +332,9 @@ def _residues(a):
     render=lambda p, a: [f"class: {p['class']}", "gap valuations: " + _word(p["gapValuations"])],
 )
 def _classify(a):
-    from .sequences import _classify_gaps
-
     gaps = a.seq.gap_valuations()
-    return {"class": _classify_gaps(a.seq, gaps).value, "gapValuations": [str(v) for v in gaps]}
+    cls = intpoly.sequences._classify_gaps(a.seq, gaps)
+    return {"class": cls.value, "gapValuations": [str(v) for v in gaps]}
 
 
 @_command(
@@ -361,16 +343,12 @@ def _classify(a):
     render=lambda p, a: [f"pseudo-limit: {_word(p['pseudo_limit'])}"],
 )
 def _pseudolimit(a):
-    from .sequences import is_pseudo_limit
-
-    return {"pseudo_limit": is_pseudo_limit(a.x, a.seq)}
+    return {"pseudo_limit": intpoly.sequences.is_pseudo_limit(a.x, a.seq)}
 
 
 @_command("imageclass", "classify the image of a window", _P, _SEQ, _POLY)
 def _imageclass(a):
-    from .sequences import image_window_classify
-
-    start, cls, dichotomy = image_window_classify(a.poly, a.seq)
+    start, cls, dichotomy = intpoly.sequences.image_window_classify(a.poly, a.seq)
     return {"suffix_start": start, "class": cls.value, "dichotomy": dichotomy.value}
 
 
@@ -385,9 +363,7 @@ def _render_ideal(p, a):
     render=_render_ideal,
 )
 def _ideal(a):
-    from .spectrum import ideal_membership
-
-    verdict = ideal_membership(a.poly, a.ideal, a.set)
+    verdict = intpoly.spectrum.ideal_membership(a.poly, a.ideal, a.set)
     payload = {"verdict": verdict.value}
     if verdict.reason:
         payload["reason"] = verdict.reason
@@ -400,9 +376,7 @@ def _ideal(a):
     render=lambda p, a: [f"representative: {p.get('residue', 'unknown')}"],
 )
 def _representative(a):
-    from .spectrum import residue_representative
-
-    s = residue_representative(a.poly, a.ideal, a.set)
+    s = intpoly.spectrum.residue_representative(a.poly, a.ideal, a.set)
     return {"verdict": "unknown"} if s is None else {"verdict": "yes", "residue": s}
 
 
@@ -415,9 +389,7 @@ def _render_frisch(p, a):
 
 @_command("frisch", "residue separation product check", _POLY, _P, render=_render_frisch)
 def _frisch(a):
-    from .spectrum import separation_check
-
-    residues, in_ideal = separation_check(a.poly, a.p)
+    residues, in_ideal = intpoly.spectrum.separation_check(a.poly, a.p)
     return {"residues": sorted(residues), "product_in_ideal": in_ideal}
 
 
@@ -427,9 +399,7 @@ def _frisch(a):
     render=lambda p, a: [f"{name}: {_rows(p[name])}" for name in "USW"],
 )
 def _snf(a):
-    from .matrices import snf_with_transforms
-
-    result = snf_with_transforms(a.matrix)
+    result = intpoly.matrices.snf_with_transforms(a.matrix)
     payload = {name: [list(r) for r in getattr(result, name)] for name in "USW"}
     payload["diagonal"] = list(result.diagonal)
     return payload
@@ -450,9 +420,7 @@ def _render_bezout4(p, a):
     render=_render_bezout4,
 )
 def _bezout4(a):
-    from .matrices import strong_bezout_z
-
-    alpha, beta, gamma, delta = strong_bezout_z(a.a, a.b, a.c, a.d)
+    alpha, beta, gamma, delta = intpoly.matrices.strong_bezout_z(a.a, a.b, a.c, a.d)
     return {
         "alpha": alpha,
         "beta": beta,
@@ -482,9 +450,7 @@ def _render_content(p, a):
     render=_render_content,
 )
 def _content(a):
-    from .matrices import unit_content_decide
-
-    return unit_content_decide(a.entries).to_json()
+    return intpoly.matrices.unit_content_decide(a.entries).to_json()
 
 
 def _render_ucs(p, a):
@@ -497,9 +463,7 @@ def _render_ucs(p, a):
 
 @_command("ucs", "pair check for the 2x2 matrix criterion", _B, _C, render=_render_ucs)
 def _ucs(a):
-    from .matrices import ucs_pair_check
-
-    return ucs_pair_check(a.B, a.C).to_json()
+    return intpoly.matrices.ucs_pair_check(a.B, a.C).to_json()
 
 
 @_command(
@@ -509,35 +473,27 @@ def _ucs(a):
     render=lambda p, a: ["C0: " + _rows(p["C0"])],
 )
 def _tracenorm(a):
-    from .matrices import (
-        poly_det2,
-        poly_mat_mul,
-        poly_trace,
-        require_2x2,
-        trace_combination_search,
-        trace_combination_z,
-        trace_normalize,
-    )
-
+    matrices = intpoly.matrices
     B, C, comb = a.B, a.C, a.comb
-    require_2x2("trace normalization", B, C)
+    matrices.require_2x2("trace normalization", B, C)
     if comb and len(comb) != 4:
         raise InputParseError("--comb needs exactly four ;-separated entries")
     if not comb:
-        M = poly_mat_mul(B, C)
+        M = matrices.poly_mat_mul(B, C)
         if all(e.is_integer_constant for row in M for e in row):
-            comb = trace_combination_z(tuple(tuple(int(e.coefficient(0)) for e in r) for r in M))
+            entries = tuple(tuple(int(e.coefficient(0)) for e in r) for r in M)
+            comb = matrices.trace_combination_z(entries)
         else:
-            comb = trace_combination_search(M)
+            comb = matrices.trace_combination_search(M)
             if comb is None:
                 raise DomainError("no combination found within the bounded search; pass --comb")
-    C0 = trace_normalize(B, C, comb)
-    product = poly_mat_mul(B, C0)
+    C0 = matrices.trace_normalize(B, C, comb)
+    product = matrices.poly_mat_mul(B, C0)
     return {
         "C0": [[str(e) for e in row] for row in C0],
         "BC0": [[str(e) for e in row] for row in product],
-        "trace": str(poly_trace(product)),
-        "det_C0": str(poly_det2(C0)),
+        "trace": str(matrices.poly_trace(product)),
+        "det_C0": str(matrices.poly_det2(C0)),
         "idempotent": True,
     }
 
@@ -547,9 +503,7 @@ def _tracenorm(a):
     _opt("--M", lambda a: _parse_matrix(a.M, parse_polynomial), required=True, help=_MATRIX),
 )
 def _idem(a):
-    from .matrices import idempotent_check
-
-    idem, nontrivial = idempotent_check(a.M)
+    idem, nontrivial = intpoly.matrices.idempotent_check(a.M)
     return {"idempotent": idem, "nontrivial": nontrivial}
 
 
@@ -576,13 +530,12 @@ def _render_example(p, a):
     render=_render_example,
 )
 def _example(a):
-    from .example_lab import bounded_search, verify_known_solution
-
+    example_lab = intpoly.example_lab
     if a.action == "search":
-        certs = bounded_search(a.max_deg, a.max_height, a.budget)
+        certs = example_lab.bounded_search(a.max_deg, a.max_height, a.budget)
         return {"count": len(certs), "certificates": [c.to_json() for c in certs]}
     if a.stdin is None:
-        return {"certificate": verify_known_solution().to_json()}
+        return {"certificate": example_lab.verify_known_solution().to_json()}
     recomputed, given = a.stdin.re_verify().to_json(), a.stdin.to_json()
     matches = all(given[k] == v for k, v in recomputed.items() if k != "checks") and all(
         given["checks"].get(name) == ok for name, ok in recomputed["checks"].items()
@@ -603,42 +556,20 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """An ArgumentParser that reads `--option -value` as `--option=-value`
-    and raises _UsageError where argparse would print usage and exit.
+    """An ArgumentParser that reads a token that starts with a single '-'
+    and names no option as a value, and raises _UsageError where argparse
+    would print usage and exit.
 
-    argparse takes a value that starts with '-' and does not look like a
-    negative number (the matrix -2,4;6,8, the polynomial -X, the set
-    -1,0,2) for an option string and exits without an answer.  Here a token
-    that starts with a single '-', is no option string itself and follows
-    an option that takes a value, named in full or by an unambiguous
-    prefix, is that option's value.  Subparsers are built with the parent's
-    class, so every subcommand reads its own options this way.
+    argparse reads such a token as a value only when it looks like a negative
+    number, so `--matrix -2,4;6,8`, `--poly -X` or `--set -1,0,2` would leave
+    the option without a value.  Here its negative-number rule matches every
+    such token; one that names an option is still that option, and `-hX` is
+    -h with X attached.  Subparsers are built with the parent's class.
     """
 
-    def _takes_value(self, token: str) -> bool:
-        actions = self._option_string_actions
-        action = actions.get(token)
-        if action is None and token.startswith("--") and self.allow_abbrev:
-            named = {a for s, a in actions.items() if s.startswith(token)}
-            action = named.pop() if len(named) == 1 else None
-        return action is not None and action.nargs is None
-
-    def parse_known_args(self, args=None, namespace=None):
-        if args is not None:
-            joined = []
-            for arg in args:
-                if (
-                    joined
-                    and arg.startswith("-")
-                    and not arg.startswith("--")
-                    and arg not in self._option_string_actions
-                    and self._takes_value(joined[-1])
-                ):
-                    joined[-1] += "=" + arg
-                else:
-                    joined.append(arg)
-            args = joined
-        return super().parse_known_args(args, namespace)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile("-[^-]")
 
     def error(self, message):
         raise _UsageError(self, message)

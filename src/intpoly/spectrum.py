@@ -246,7 +246,8 @@ def _point_residues(f: Polynomial, ideal: IdealSpec, E: SubsetDescriptor):
     """The residues mod p of f at the points that decide f at a maximal ideal:
     the point a of max:, the approximation x of comp: and the window tail of
     seq:.  None when x is too coarse to fix f(x) mod p.  A value of negative
-    valuation, from comp: over a finite set at an x outside it, is refused."""
+    valuation, from comp: over a finite set at an x outside it, is refused.
+    p was checked prime with the spec, so no residue checks it again."""
     p = ideal.p
     _require_in_ring(f, E, p)
     if isinstance(ideal, MaxTrivial):
@@ -261,7 +262,11 @@ def _point_residues(f: Polynomial, ideal: IdealSpec, E: SubsetDescriptor):
         points = _window_tail(ideal, E)
     else:
         raise DomainError(f"unsupported ideal spec {ideal!r}")
-    return [padic_residue(f(x), p, 1).value for x in points]
+    values = [f(x) for x in points]
+    for value in values:
+        if value.denominator % p == 0:
+            raise DomainError(f"{value} has negative valuation at p={p}")
+    return [v.numerator * pow(v.denominator, -1, p) % p for v in values]
 
 
 def ideal_membership(

@@ -127,24 +127,24 @@ def v_ordering(E: SubsetDescriptor, n: int, p: int, tie_break: str = "min") -> V
         raise DomainError(
             f"set of size {len(E.points)} cannot host an ordering of length {n + 1}"
         )
-    order_key = (lambda x: (x.numerator, x.denominator))
-    remaining = sorted(E.points, key=order_key)
-    if tie_break == "max":
-        remaining.reverse()
+    # Each point r/s is read once, into (r, s, point); distinct points have
+    # distinct (r, s), so the sort never compares the points themselves.
     # The points are p-integral, so their denominators are prime to p and
     # v_p(r/s - t/u) = v_p(r*u - t*s): the valuations need only integers,
     # and r*u - t*s is never zero because the points are distinct.
-    pairs = [(x.numerator, x.denominator) for x in remaining]
-    chosen = [remaining.pop(0)]
-    t, u = pairs.pop(0)
+    remaining = sorted([(x.numerator, x.denominator, x) for x in E.points])
+    if tie_break == "max":
+        remaining.reverse()
+    t, u, first = remaining.pop(0)
+    chosen = [first]
     w = [0]
     sums = [0] * len(remaining)
     for _ in range(n):
-        sums = [v + vp_int(r * u - t * s, p) for v, (r, s) in zip(sums, pairs)]
+        sums = [v + vp_int(r * u - t * s, p) for v, (r, s, _) in zip(sums, remaining)]
         # min returns the first minimum: ties go to the earliest in `remaining`
         best = min(range(len(remaining)), key=sums.__getitem__)
-        chosen.append(remaining.pop(best))
-        t, u = pairs.pop(best)
+        t, u, point = remaining.pop(best)
+        chosen.append(point)
         w.append(sums.pop(best))
     return VOrdering(E, p, tuple(chosen), tuple(w))
 

@@ -31,6 +31,30 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def readme_commands() -> list:
+    """The argv of each example in README's CLI section, in order."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.strip().splitlines()]
+
+
+def dash_requests():
+    """One request per value-taking option of every subcommand: the
+    subcommand's last README example with that option taken out, and the
+    option's value there made to start with a single '-', or -1 where the
+    example does not give the option."""
+    examples = {argv[0]: argv for argv in readme_commands()}
+    for name, (_, options, _, _) in _COMMANDS.items():
+        for flag, _, kwargs in options:
+            if flag.startswith("--") and "action" not in kwargs:
+                argv = list(examples[name])
+                value = "-1"
+                if flag in argv:
+                    at = argv.index(flag)
+                    value = "-" + argv[at + 1].lstrip("-")
+                    del argv[at:at + 2]
+                yield pytest.param(argv, flag, value, id=f"{name} {flag}")
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "vorder", "--set", "0,1,2,4", "--p", "2", "--n", "3")
@@ -99,6 +123,30 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert (code, out) == run_cli(capsys, *joined, "--json")[:2]
         json.loads(out)
+
+    @pytest.mark.parametrize("argv, flag, value", dash_requests())
+    def test_every_option_reads_values_starting_with_dash(self, capsys, argv, flag, value):
+        # `--option -value` answers exactly as `--option=-value`, in text and
+        # --json mode, also when the option is abbreviated; a refused value
+        # is refused by its option, not read as a missing one
+        for name in {flag, flag[:-1]} if len(flag) > 3 else {flag}:
+            for extra in ((), ("--json",)):
+                apart = run_cli(capsys, *argv, name, value, *extra)
+                assert apart == run_cli(capsys, *argv, f"{name}={value}", *extra)
+            assert "expected one argument" not in apart[1]
+            json.loads(apart[1])
+
+    def test_value_starting_with_h_is_the_help_option(self, capsys):
+        # argparse reads -hX as -h with X attached, so --poly has no value;
+        # written --poly=-hX, the value reaches the polynomial parser
+        code, out, err = run_cli(capsys, "member", "--poly", "-hX", "--all", "--p", "2", "--json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "error": {"kind": "parse_error", "message": "argument --poly: expected one argument"}
+        }
+        code, out, _ = run_cli(capsys, "member", "--poly=-hX", "--all", "--p", "2", "--json")
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("bad character in polynomial")
 
     def test_missing_value_still_rejected(self, capsys):
         code, out, err = run_cli(capsys, "member", "--poly", "--json", "--all", "--p", "2")
@@ -713,8 +761,7 @@ class TestSharedParser:
 
 class TestGolden:
     def test_covers_every_readme_example(self):
-        block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-        commands = [shlex.split(line)[1:] for line in block.strip().splitlines()]
+        commands = readme_commands()
         expected = [argv + extra for argv in commands for extra in ([], ["--json"])]
         assert [case["argv"] for case in GOLDEN[: len(expected)]] == expected
 

@@ -1,7 +1,8 @@
 """Loading by need: `import intpoly` loads no module of the package, each
-public name is loaded from its module on first use, and a CLI request loads
-only the modules its subcommand calls.  Each case runs in a fresh
-interpreter, since the test process has long since loaded every module."""
+public name is loaded from its module on first use, and a CLI request of
+each subcommand loads only the modules that subcommand calls.  Each case
+runs in a fresh interpreter, since the test process has long since loaded
+every module."""
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import pytest
 SRC = str(Path(__file__).parent.parent / "src")
 LOADED = "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('intpoly'))))"
 CLI_CORE = ["intpoly", "intpoly.arith", "intpoly.cli", "intpoly.poly"]
+# `spectrum` builds on the window and set types of `sequences` and `vorder`
+SPECTRUM = ["sequences", "spectrum", "vorder"]
 
 
 def _run(code: str) -> str:
@@ -85,8 +88,26 @@ for name in ('no_such_name', '_vp'):
         (["member", "--poly", "X", "--set", "1,2", "--p", "2"], ["vorder"]),
         (["classify", "--p", "2", "--seq", "0,1,2"], ["sequences"]),
         (["residues", "--poly", "X", "--p", "4"], []),
+        (["vorder", "--set", "0,1,2,4", "--p", "2", "--n", "3"], ["vorder"]),
+        (["basis", "--all", "--p", "2", "--k", "2"], ["vorder"]),
+        (["expand", "--poly", "X^2", "--all", "--p", "3", "--n", "2"], ["vorder"]),
+        (["pseudolimit", "--p", "2", "--seq", "1,3,7,15", "--x", "-1"], ["sequences"]),
+        (["imageclass", "--p", "2", "--seq", "1,3,7,15", "--poly", "X^2"], ["sequences"]),
+        (["ideal", "member", "--ideal", "max:p=2,a=3", "--poly", "X"], SPECTRUM),
+        (["representative", "--ideal", "comp:p=3,x=4,N=2", "--poly", "X"], SPECTRUM),
+        (["frisch", "--poly", "X*(X-1)/2", "--p", "2"], SPECTRUM),
+        (["bezout4", "2", "3", "4", "5"], ["matrices"]),
+        (["content", "--entries", "2;X^2+X"], ["matrices"]),
+        (["ucs", "--B", "2,X;X+1,3", "--C", "1,0;0,1"], ["matrices"]),
+        (["tracenorm", "--B", "2,1;1,1", "--C", "1,1;1,1"], ["matrices"]),
+        (["idem", "--M", "1,0;0,0"], ["matrices"]),
+        (["example", "verify"], ["example_lab", "matrices"]),
     ],
-    ids=["residues", "snf", "member --set", "classify", "residues domain error"],
+    ids=[
+        "residues", "snf", "member --set", "classify", "residues domain error", "vorder",
+        "basis", "expand", "pseudolimit", "imageclass", "ideal", "representative", "frisch",
+        "bezout4", "content", "ucs", "tracenorm", "idem", "example",
+    ],
 )
 def test_cli_request_loads_only_its_modules(argv, modules):
     code = (

@@ -96,6 +96,19 @@ def test_cli_loads_only_arith_and_poly():
     assert not found, found
 
 
+def test_cli_imports_nothing_inside_a_function():
+    # subcommands reach the library through the package, as
+    # `intpoly.vorder.v_ordering`, so no import statement runs per request
+    lines = {
+        inner.lineno
+        for node in ast.walk(_tree(_package("cli.py")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+    assert not lines, sorted(lines)
+
+
 def _defined_names(path: Path) -> set:
     """The names a module binds at its top level by def, class or assignment."""
     names = set()

@@ -138,6 +138,21 @@ class TestMembership:
         tail = spectrum._window_tail(MaxSequence(SeqWindow(2, pts)), SubsetDescriptor.all_integers())
         assert tail == pts[-((n + 1) // 2):]
 
+    def test_sequence_checks_primality_once(self, monkeypatch):
+        # the spec's prime is checked once per request, not at every point
+        # of the window's later half: the count does not grow with its length
+        primes, real_is_prime = [], arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda p: primes.append(p) or real_is_prime(p))
+        counts = []
+        for n in (4, 40):
+            # (3^k - 1)/2 for k = 1..n: gaps 3^k, of valuations 1, 2, ..., n - 1
+            ideal = MaxSequence(SeqWindow(3, tuple((3 ** k - 1) // 2 for k in range(1, n + 1))))
+            primes.clear()
+            for decide in (ideal_membership, residue_representative):
+                decide(X * (X - 1) / 2, ideal)
+            counts.append(len(primes))
+        assert counts == [2, 2]
+
     def test_int_e_m(self):
         assert ideal_membership(X ** 2 + X, IntEM(2)).is_yes
         assert ideal_membership(X * (X - 1) / 2, IntEM(2)).is_no
